@@ -21,7 +21,6 @@ from .lfsr import (
 )
 from .grng import (
     Epsilon,
-    GrngMode,
     GrngStream,
     UnderflowBeforeSeed,
     counts_to_eps,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TAPS", "InvalidTaps", "LfsrState", "TapSet", "ZeroSeed",
     "new_lfsr", "popcount_state", "shift_forward", "shift_reverse",
-    "Epsilon", "GrngMode", "GrngStream", "UnderflowBeforeSeed",
+    "Epsilon", "GrngStream", "UnderflowBeforeSeed",
     "counts_to_eps", "grng_init", "read_epsilon_log", "write_epsilon_log",
     "GenerationLedger", "LedgerMismatch", "NonContiguousSegment",
     "SegmentRecord", "canonical_forward_order", "reverse_schedule",

@@ -372,6 +372,17 @@ def run_rng_selftest(settings: dict) -> int:
     print(f"incremental sum vs popcount: {'ok' if bad == 0 else f'{bad} FAILURES'}")
     failures += bad
 
+    # block round trips at the b-mlp fc1 and b-lenet conv1 segment sizes
+    stream = grng.grng_init(settings["seed"], 0, lfsr.TapSet.default(256))
+    start = stream.lfsr
+    trip_ok = True
+    for k in (313_600, 450):
+        drawn = stream.generate_block(k)
+        back = stream.retrieve_block(k)
+        trip_ok = trip_ok and np.array_equal(back, drawn[::-1]) and stream.lfsr == start
+    print(f"reverse round trip: {'ok' if trip_ok else 'FAIL'}")
+    failures += 0 if trip_ok else 1
+
     # moments of a large forward block
     stream = grng.grng_init(settings["seed"], 0, lfsr.TapSet.default(256))
     eps = grng.counts_to_eps(stream.generate_block(200_000), 256)

@@ -8,13 +8,12 @@ in reverse order instead of being stored.
 
 The count is tracked incrementally: a forward shift changes the popcount
 by head_in - tail_out, a reverse shift by tail_in - head_out, so no
-re-count of the register is ever needed (``popcount_state`` stays the
-independent oracle in the tests).
+draw re-counts the register; a block counts only its first window
+(``popcount_state`` stays the independent oracle in the tests).
 """
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -38,12 +37,6 @@ class UnderflowBeforeSeed(RuntimeError):
     """More retrievals than generations since init; ledger accounting bug."""
 
 
-class GrngMode(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    IDLE = "idle"
-
-
 @dataclass(frozen=True)
 class Epsilon:
     """A standardized draw plus the raw 1s count that produced it."""
@@ -55,6 +48,20 @@ class Epsilon:
 def counts_to_eps(counts: np.ndarray, n: int) -> np.ndarray:
     """Standardize raw 1s counts: (count - n/2) / sqrt(n/4)."""
     return (np.asarray(counts, dtype=np.float64) - n / 2.0) / np.sqrt(n / 4.0)
+
+
+def _window_counts(full: np.ndarray, n: int, k: int) -> np.ndarray:
+    """1s counts of the k windows full[i+1 : i+1+n], i < k, as uint16.
+
+    Each shift changes the count by full[n+i] - full[i]; the cumulative
+    sum of those changes stays within +-n.  It runs in int32: numpy
+    accumulates int32 several times faster than int16.
+    """
+    steps = full[n : n + k].astype(np.int32)
+    steps -= full[:k]
+    np.cumsum(steps, out=steps)
+    steps += int(full[:n].sum())
+    return steps.astype(np.uint16)
 
 
 _MASK64 = (1 << 64) - 1
@@ -92,12 +99,10 @@ class GrngStream:
     ensemble samples run independently.
     """
 
-    def __init__(self, lfsr: LfsrState, p: float = 0.5):
+    def __init__(self, lfsr: LfsrState):
         self.lfsr = lfsr
         self.n = lfsr.taps.width
-        self.p = p
         self.running_sum = popcount_state(lfsr)
-        self.mode = GrngMode.IDLE
 
     # -- single-draw API ----------------------------------------------------
 
@@ -105,7 +110,6 @@ class GrngStream:
         return Epsilon(value=(count - self.n / 2.0) / np.sqrt(self.n / 4.0), count=count)
 
     def generate_forward(self) -> Epsilon:
-        self.mode = GrngMode.FORWARD
         self.lfsr, head_in, tail_out = shift_forward(self.lfsr)
         self.running_sum += head_in - tail_out
         return self._epsilon(self.running_sum)
@@ -115,15 +119,10 @@ class GrngStream:
             raise UnderflowBeforeSeed(
                 f"retrieve at position {self.lfsr.position}: nothing left to retrieve"
             )
-        self.mode = GrngMode.BACKWARD
         eps = self._epsilon(self.running_sum)
         self.lfsr, tail_in, head_out = shift_reverse(self.lfsr)
         self.running_sum += tail_in - head_out
         return eps
-
-    def set_mode(self, mode: GrngMode) -> "GrngStream":
-        self.mode = mode
-        return self
 
     @property
     def position(self) -> int:
@@ -138,55 +137,37 @@ class GrngStream:
 
     def generate_block(self, k: int) -> np.ndarray:
         """k forward draws at once; returns the raw counts as uint16."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         if k == 0:
             return np.zeros(0, dtype=np.uint16)
-        self.mode = GrngMode.FORWARD
         window = state_to_window(self.lfsr)
         ext = extend_forward(window, k, self.lfsr.taps)
         full = np.concatenate([window, ext])
-        csum = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
-        counts = (csum[self.n + 1 : self.n + 1 + k] - csum[1 : 1 + k]).astype(np.uint16)
+        counts = _window_counts(full, self.n, k)
         self.lfsr = window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k)
         self.running_sum = int(counts[-1])
         return counts
 
-    def retrieve_block(self, k: int, start_state: LfsrState | None = None) -> np.ndarray:
+    def retrieve_block(self, k: int) -> np.ndarray:
         """k backward retrievals at once; counts in retrieval (reverse) order.
 
-        With ``start_state`` (a ledger checkpoint of the state k draws
-        ago) the block is reproduced by re-shifting forward from the
-        checkpoint, which is faster for long blocks; otherwise it runs
-        the reverse recurrence directly.  Both give identical counts and
-        leave the stream k positions earlier.
+        Runs the reverse recurrence (``extend_backward``) from the current
+        register alone and leaves the stream k positions earlier.
         """
+        if k < 0:
+            raise ValueError("k must be >= 0")
         if k == 0:
             return np.zeros(0, dtype=np.uint16)
         if self.lfsr.position - k < 0:
             raise UnderflowBeforeSeed(
                 f"retrieve {k} draws at position {self.lfsr.position}"
             )
-        self.mode = GrngMode.BACKWARD
-        if start_state is not None:
-            if start_state.position != self.lfsr.position - k:
-                raise UnderflowBeforeSeed(
-                    f"checkpoint at {start_state.position}, expected "
-                    f"{self.lfsr.position - k}"
-                )
-            window = state_to_window(start_state)
-            ext = extend_forward(window, k, self.lfsr.taps)
-            full = np.concatenate([window, ext])
-            new_state = start_state
-        else:
-            window = state_to_window(self.lfsr)
-            older = extend_backward(window, k, self.lfsr.taps)
-            full = np.concatenate([older, window])
-            new_state = window_to_state(
-                full[:self.n], self.lfsr.taps, self.lfsr.position - k
-            )
-        csum = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
-        counts = (csum[self.n + 1 : self.n + 1 + k] - csum[1 : 1 + k]).astype(np.uint16)
-        self.lfsr = new_state
-        self.running_sum = int(csum[self.n] - csum[0])
+        window = state_to_window(self.lfsr)
+        older = extend_backward(window, k, self.lfsr.taps)
+        full = np.concatenate([older, window])
+        counts = _window_counts(full, self.n, k)
+        self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
         return counts[::-1].copy()
 
 

@@ -143,7 +143,17 @@ def popcount_state(state: LfsrState) -> int:
 # Both directions vectorize over whole blocks and over batches of
 # independent registers, which the training loop and the large randomized
 # checks rely on.
+#
+# Over GF(2), p(x)^(2^e) = p(x^(2^e)) (Golomb, "Shift Register Sequences",
+# 1967), so s also obeys the recurrence with every tap scaled by 2^e.  The
+# scaled recurrence makes min(taps) * 2^e consecutive bits independent of
+# each other, which lets one numpy pass write a block that doubles with
+# the known prefix instead of a fixed min(taps) bits.
 # ---------------------------------------------------------------------------
+
+# extend_backward's look-ahead window may reach this many bits even for a
+# shorter block; capping it at k instead leaves small blocks near 2-bit passes
+_REVERSE_WINDOW_FLOOR = 1 << 16
 
 
 def state_to_window(state: LfsrState) -> np.ndarray:
@@ -159,27 +169,62 @@ def window_to_state(window: np.ndarray, taps: TapSet, position: int) -> LfsrStat
     return LfsrState(bits, taps, position)
 
 
+def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
+    """Fill buf[..., known:] from the stream bits buf[..., :known], known >= n.
+
+    Each pass takes the largest scale 2^e with n * 2^e <= known, so every
+    bit the scaled recurrence reads lies in the buffer, and writes the next
+    min(taps) * 2^e bits, which read only known bits.  The scale doubles
+    every ceil(n / min(taps)) passes, so k bits take about that many times
+    log2(k / n) passes.
+    """
+    n, total = taps.width, buf.shape[-1]
+    while known < total:
+        e = (known // n).bit_length() - 1
+        blk = min(taps.taps[0] << e, total - known)
+        dst = buf[..., known : known + blk]
+        first, *rest = (known - (j << e) for j in taps.taps)
+        np.copyto(dst, buf[..., first : first + blk])
+        for lo in rest:
+            dst ^= buf[..., lo : lo + blk]
+        known += blk
+
+
+def _mirror(taps: TapSet) -> TapSet:
+    """Taps of the time-reversed stream: s[i] = s[i+n] ^ XOR(s[i+n-j], j != n)
+    read from the other end is a forward recurrence with taps n and n - j."""
+    n = taps.width
+    return TapSet(n, (n,) + tuple(n - j for j in taps.taps if j != n))
+
+
+def _reverse_scale(k: int, taps: TapSet, mirror: TapSet) -> int:
+    """Scale exponent m of extend_backward's look-ahead window n * 2^m.
+
+    Building the window costs ceil(n / min(taps)) forward passes per
+    doubling; reversing k bits with taps x 2^m costs k / (min(mirror) * 2^m)
+    passes.  m minimises their sum, with the window no longer than
+    max(k, _REVERSE_WINDOW_FLOOR) bits.
+    """
+    n = taps.width
+    per_doubling = -(-n // taps.taps[0])
+    m_max = max(0, (max(k, _REVERSE_WINDOW_FLOOR) // n).bit_length() - 1)
+    return min(range(m_max + 1),
+               key=lambda m: m * per_doubling + -(-k // (mirror.taps[0] << m)))
+
+
 def extend_forward(history: np.ndarray, k: int, taps: TapSet) -> np.ndarray:
     """Append k stream bits after ``history`` (last axis holds >= n bits).
 
-    Works on shape (..., n); returns (..., k).  Blocks of min(taps) bits
-    are independent, so the recurrence runs in vectorized chunks.
+    Works on shape (..., n); returns (..., k).
     """
     n = taps.width
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if history.shape[-1] < n:
         raise ValueError("history must contain at least n bits")
-    hist = history[..., -n:]
-    buf = np.empty(hist.shape[:-1] + (n + k,), dtype=np.uint8)
-    buf[..., :n] = hist
-    step = min(taps.taps)
-    t = 0
-    while t < k:
-        blk = min(step, k - t)
-        acc = buf[..., n + t - taps.taps[0] : n + t - taps.taps[0] + blk].copy()
-        for j in taps.taps[1:]:
-            acc ^= buf[..., n + t - j : n + t - j + blk]
-        buf[..., n + t : n + t + blk] = acc
-        t += blk
+    buf = np.empty(history.shape[:-1] + (n + k,), dtype=np.uint8)
+    buf[..., :n] = history[..., -n:]
+    _fill(buf, n, taps)
     return buf[..., n:]
 
 
@@ -188,24 +233,21 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet) -> np.ndarray:
 
     ``window`` is s[p : p+n) (shape (..., n)); the result is s[p-k : p)
     in stream order.  This is the vectorized form of ``shift_reverse``:
-    s[m] = s[m+n] XOR (XOR of s[m+n-j] for non-tail taps j).
+    s[m] = s[m+n] XOR (XOR of s[m+n-j] for non-tail taps j).  The window
+    is first extended forward to n * 2^m bits so that the reverse
+    recurrence can run with every tap scaled by 2^m.
     """
     n = taps.width
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if window.shape[-1] != n:
         raise ValueError("window must be exactly n bits")
-    others = [j for j in taps.taps if j != n]
-    gap = n - max(others) if others else n
-    buf = np.empty(window.shape[:-1] + (k + n,), dtype=np.uint8)
-    buf[..., k:] = window
-    hi = k
-    while hi > 0:
-        blk = min(gap, hi)
-        lo = hi - blk
-        acc = buf[..., lo + n : lo + n + blk].copy()
-        for j in others:
-            acc ^= buf[..., lo + n - j : lo + n - j + blk]
-        buf[..., lo:hi] = acc
-        hi = lo
+    mirror = _mirror(taps)
+    ahead = n << _reverse_scale(k, taps, mirror)
+    buf = np.empty(window.shape[:-1] + (k + ahead,), dtype=np.uint8)
+    buf[..., k : k + n] = window
+    _fill(buf[..., k:], n, taps)
+    _fill(buf[..., ::-1], ahead, mirror)
     return buf[..., :k]
 
 
@@ -235,7 +277,8 @@ def transition_matrix(taps: TapSet) -> np.ndarray:
 
 
 def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint32) @ b.astype(np.uint32) % 2).astype(np.uint8)
+    # float64 products are exact for n < 2^53 and run on BLAS
+    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
 
 
 def gf2_matpow(m: np.ndarray, e: int) -> np.ndarray:

@@ -5,7 +5,9 @@ canonical order (conv: output channel m outer, input channel n, then
 row-major kernel slot; fc: out-major, in-minor).  The ledger records one
 segment per (layer, sample) so the backward pass can retrieve exactly the
 same draws in reverse, mapping each retrieved position to its
-180-degree-flipped kernel slot.
+180-degree-flipped kernel slot.  A segment holds only counts and
+geometry: the draws themselves come back by shifting the stream in
+reverse (``GrngStream.retrieve_block``), so nothing about them is stored.
 
 Because the backward traversal reorganizes kernels across the channel
 dimensions, contributions to one input-channel error map arrive in
@@ -20,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-
-from .lfsr import LfsrState
 
 
 class NonContiguousSegment(ValueError):
@@ -40,10 +40,10 @@ class SegmentRecord:
     counts: int
     geometry: tuple[int, ...]  # (K, M, N) for conv, (out, in) for fc
     traversal: str  # order tag, e.g. "m-n-rowmajor" / "out-in"
+    # stream position before the segment's first draw, for the contiguity
+    # check; no register state is kept, the backward pass recovers every
+    # draw by reverse shifting
     start_position: int = 0
-    # state checkpoint at start_position; lets long retrievals replay
-    # forward from here instead of reverse-stepping bit by bit
-    start_state: LfsrState | None = None
 
     def __post_init__(self):
         if self.kind == "conv":

@@ -8,8 +8,10 @@ reversible LFSR streams and is handled by one of two strategies:
 * STORE: the baseline; every drawn count is logged during the forward
   pass and read back during the backward pass.
 * SHIFT: nothing is logged; the backward pass retrieves the exact same
-  values by shifting the generator streams in reverse, restoring every
-  stream to its pre-step state.
+  values by shifting the generator streams in reverse (the reverse
+  recurrence of ``lfsr.extend_backward``, from each stream's current
+  register alone), restoring every stream to its pre-step state.  The
+  ledger holds only draw counts and geometry.
 
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
@@ -294,7 +296,7 @@ class Trainer:
         if self._use_cache:
             return self._eps_cache[key]
         stream = self.streams[sample_id]
-        start_state = stream.lfsr
+        start_position = stream.position
         counts = stream.generate_block(layer.weight_count)
         self.ledger.record_segment(SegmentRecord(
             layer_id=layer_id,
@@ -303,8 +305,7 @@ class Trainer:
             counts=layer.weight_count,
             geometry=layer.geometry,
             traversal="m-n-rowmajor" if layer.kind == "conv" else "out-in",
-            start_position=start_state.position,
-            start_state=start_state,
+            start_position=start_position,
         ))
         return counts
 
@@ -317,7 +318,7 @@ class Trainer:
             return self._step_log[key]
         rec = self.ledger.layer_segment(layer_id, sample_id)
         stream = self.streams[sample_id]
-        retrieved = stream.retrieve_block(layer.weight_count, start_state=rec.start_state)
+        retrieved = stream.retrieve_block(layer.weight_count)
         if len(retrieved) != rec.counts:
             raise LedgerMismatch(
                 f"layer {layer_id} sample {sample_id}: retrieved {len(retrieved)}, "

@@ -152,3 +152,4 @@ class TestRngSelftest:
         assert run(["rng-selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") >= 3
+        assert "reverse round trip: ok" in out

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftbnn.grng import (
-    GrngMode,
     GrngStream,
     UnderflowBeforeSeed,
     counts_to_eps,
@@ -93,13 +92,6 @@ class TestIncrementalSum:
         with pytest.raises(UnderflowBeforeSeed):
             stream.retrieve_backward()
 
-    def test_mode_tracking(self, stream):
-        assert stream.mode is GrngMode.IDLE
-        stream.generate_forward()
-        assert stream.mode is GrngMode.FORWARD
-        stream.retrieve_backward()
-        assert stream.mode is GrngMode.BACKWARD
-
 
 class TestBlockEngine:
     def test_generate_block_matches_scalar(self):
@@ -122,24 +114,24 @@ class TestBlockEngine:
         assert np.array_equal(block, scalar)
         assert a.lfsr == b.lfsr
 
-    def test_retrieve_block_checkpoint_replay_identical(self):
+    @pytest.mark.parametrize("k", [313_600, 450])  # b-mlp fc1, b-lenet conv1
+    def test_round_trip_restores_start(self, k):
         a = grng_init(9, 0, TapSet.default(256))
         start = a.lfsr
-        a.generate_block(4096)
-        direct = grng_init(9, 0, TapSet.default(256))
-        direct.generate_block(4096)
-        via_checkpoint = a.retrieve_block(4096, start_state=start)
-        genuine = direct.retrieve_block(4096)
-        assert np.array_equal(via_checkpoint, genuine)
-        assert a.lfsr == direct.lfsr == start
+        drawn = a.generate_block(k)
+        back = a.retrieve_block(k)
+        assert np.array_equal(back, drawn[::-1])
+        assert a.lfsr == start
+        assert a.running_sum == popcount_state(start)
 
-    def test_checkpoint_position_validated(self):
-        a = grng_init(9, 0, TapSet.default(256))
-        wrong = a.lfsr
+    def test_negative_block_size_rejected(self):
+        a = grng_init(0, 0, TapSet.default(256))
         a.generate_block(10)
-        a.generate_block(10)
-        with pytest.raises(UnderflowBeforeSeed):
-            a.retrieve_block(10, start_state=wrong)  # 10 draws too old
+        before = (a.lfsr, a.running_sum)
+        for block in (a.generate_block, a.retrieve_block):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                block(-3)
+        assert (a.lfsr, a.running_sum) == before
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))

@@ -24,6 +24,18 @@ from shiftbnn.lfsr import (
     window_to_state,
 )
 
+#: per-sample noise segment sizes of b-mlp (fc1 first) and b-lenet
+SEGMENT_SIZES = (313_600, 160_000, 4_000, 450, 2_400, 48_000, 10_080, 840)
+#: shipped defaults plus the wrong-tap negative control of verify-equivalence
+SCALE_TAPS = [TapSet.default(w) for w in (8, 16, 24, 256)] + [TapSet(256, (1, 2, 3, 256))]
+
+
+def block_sizes(n: int) -> list[int]:
+    """Segment sizes, plus n * 2^j - 1, n * 2^j and n * 2^j + 1 up to fc1's."""
+    edges = {(n << j) + d for j in range(SEGMENT_SIZES[0].bit_length())
+             if n << j <= SEGMENT_SIZES[0] for d in (-1, 0, 1)}
+    return sorted(edges | set(SEGMENT_SIZES))
+
 
 class TestTapSet:
     def test_tail_must_be_tapped(self):
@@ -172,6 +184,33 @@ class TestBulkEngine:
         for row, sd in zip(batched, seeds):
             single = extend_forward(state_to_window(new_lfsr(16, ts, sd)), 64, ts)
             assert np.array_equal(row, single)
+
+    def test_negative_k_rejected(self):
+        ts = TapSet.default(256)
+        window = state_to_window(new_lfsr(256, ts, 5))
+        for extend in (extend_forward, extend_backward):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                extend(window, -3, ts)
+
+    @pytest.mark.parametrize("taps", SCALE_TAPS, ids=lambda ts: f"{ts.width}-{ts.taps[0]}")
+    def test_every_scale_against_matrix_power(self, taps):
+        """Every block size the scaled recurrences see in training, and both
+        sides of each point where the scale 2^j changes: the forward register
+        equals M^k applied to the start register, and extending backward
+        then forward gives back the same bits."""
+        n = taps.width
+        rng = np.random.default_rng(n)
+        window = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
+        m = transition_matrix(taps)
+        for k in block_sizes(n):
+            ext = extend_forward(window, k, taps)
+            final = np.concatenate([window, ext], axis=1)[:, -n:]
+            # R_1..R_n is the window read from its end
+            expect = gf2_matpow(m, k).astype(np.int64) @ window[:, ::-1].T % 2
+            assert np.array_equal(final[:, ::-1], expect.T), k
+            back = extend_backward(window, k, taps)
+            full = np.concatenate([back, window], axis=1)
+            assert np.array_equal(extend_forward(full[:, :n], k, taps), full[:, n:]), k
 
     def test_forward_backward_inverse(self):
         ts = TapSet.default(256)
