@@ -27,7 +27,6 @@ DEFAULTS = {
     "epochs": 1,
     "lr": 1e-3,
     "seed": 0,
-    "threads": 1,
     "batch": None,        # auto: 128 for idx datasets, 8 for synthetic
     "kl_scale": None,     # auto: 1 / batches-per-epoch
     "steps": 50,
@@ -60,7 +59,7 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    if key in ("samples", "epochs", "seed", "threads", "batch", "steps", "limit"):
+    if key in ("samples", "epochs", "seed", "batch", "steps", "limit"):
         return int(raw)
     if key in ("lr", "kl_scale"):
         return float(raw)
@@ -83,8 +82,6 @@ def resolve(args: argparse.Namespace) -> dict:
             settings[key] = flag_value
     if settings["samples"] < 1:
         raise ConfigError(f"samples must be >= 1, got {settings['samples']}")
-    if settings["threads"] < 1:
-        raise ConfigError(f"threads must be >= 1, got {settings['threads']}")
     return settings
 
 
@@ -409,7 +406,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--kl-scale", dest="kl_scale", type=float)
     p.add_argument("--limit", type=int)

@@ -265,8 +265,7 @@ def latency_energy(model: ModelSpec, S: int, strategy: str,
     return cycles, energy
 
 
-def layer_cycles(layer: LayerCost, stage_traffic: StageTraffic,
-                 params: CostParams) -> float:
+def layer_cycles(stage_traffic: StageTraffic, params: CostParams) -> float:
     return max(stage_traffic.macs / params.macs_per_cycle,
                stage_traffic.traffic_bytes / params.bw_dram)
 
@@ -349,7 +348,6 @@ CSV_HEADER = ["model", "layer", "stage", "strategy", "eps_bytes",
 def report_rows(model: ModelSpec, report: TrafficReport,
                 params: CostParams) -> list[dict]:
     rows = []
-    by_name = {l.name: l for l in model.layers}
     for name, stages in report.per_layer.items():
         for stage in STAGES:
             t = stages[stage]
@@ -358,7 +356,7 @@ def report_rows(model: ModelSpec, report: TrafficReport,
                 "strategy": report.strategy,
                 "eps_bytes": t.eps_bytes, "param_bytes": t.param_bytes,
                 "fmap_bytes": t.fmap_bytes, "macs": t.macs,
-                "cycles": layer_cycles(by_name[name], t, params),
+                "cycles": layer_cycles(t, params),
                 "energy": params.e_dram * t.traffic_bytes + params.e_mac * t.macs,
             })
     total = report.totals

@@ -153,7 +153,9 @@ class GrngStream:
         """k backward retrievals at once; counts in retrieval (reverse) order.
 
         Runs the reverse recurrence (``extend_backward``) from the current
-        register alone and leaves the stream k positions earlier.
+        register alone and leaves the stream k positions earlier.  The
+        result is a reversed view of a forward-order array, so ``[::-1]``
+        of it is contiguous and costs no copy.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -168,7 +170,7 @@ class GrngStream:
         full = np.concatenate([older, window])
         counts = _window_counts(full, self.n, k)
         self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
-        return counts[::-1].copy()
+        return counts[::-1]
 
 
 def grng_init(master_seed: int, stream_id: int, taps: TapSet) -> GrngStream:

@@ -12,25 +12,11 @@ batch axis; conv weights are [M_out, N_in, K, K]; FC weights [out, in].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class ShapeMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LayerShape:
-    kind: str  # "conv" | "fc" | "pool"
-    K: int = 0
-    M: int = 0
-    N: int = 0
-    R: int = 0
-    C: int = 0
-    stride: int = 1
-    padding: int = 0
 
 
 def _out_extent(size: int, k: int, stride: int, pad: int) -> int:

@@ -16,6 +16,16 @@ reversible LFSR streams and is handled by one of two strategies:
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
 
+Per-weight math: eps is gathered from a table of every count's value
+(standardized in float64, rounded once to the working dtype), and the
+sampled weight is built in that buffer in place.  sigma is fixed within
+a step, so the sigma terms of the log densities (-sum log sigma and the
+sqrt(2 pi) constants) are taken once per layer per step; sum(eps^2)
+comes exactly from the integer counts and sum(w^2) is accumulated in
+float64 without a float64 copy.  The backward pass forms dw' and the
+(dmu, dsigma) updates with in-place operations whose bits equal the
+plain expressions.
+
 Note on pattern reuse: because SHIFT ends every step with the streams
 restored to their pre-step state (that is what reversal means), the next
 step's forward shifting regenerates the same per-step noise sequence.
@@ -27,6 +37,7 @@ reuse by caching the per-step counts after the first step.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -38,6 +49,7 @@ from .lfsr import TapSet
 from .replay import GenerationLedger, LedgerMismatch, SegmentRecord
 
 SIGMA_MIN_DEFAULT = 1e-6
+LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
 @dataclass
@@ -108,15 +120,37 @@ def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig):
     value = getattr(eps, "value", eps)
     g = w / (cfg.sigma_prior ** 2)
     if cfg.grad_mode == "exact":
-        g = g - value / sigma
+        g -= value / sigma
     return g
 
 
 def update_gradients(dw_prime, eps, accum_mu, accum_sigma) -> None:
-    """Chain rule through w = mu + eps * sigma: dmu += dw', dsigma += dw' * eps."""
+    """Chain rule through w = mu + eps * sigma: dmu += dw', dsigma += dw' * eps.
+
+    An array ``dw_prime`` is overwritten with dw' * eps.
+    """
     value = getattr(eps, "value", eps)
     accum_mu += dw_prime
-    accum_sigma += dw_prime * value
+    dw_prime *= value
+    accum_sigma += dw_prime
+
+
+def eps_square_sum(counts: np.ndarray, n: int) -> float:
+    """Sum of eps^2 over a block, exact from its raw counts.
+
+    eps = (c - n/2) / sqrt(n/4), so the sum is sum((2c - n)^2) / n, whose
+    numerator 4*sum(c^2) - 4n*sum(c) + k*n^2 is an int64 (an int32
+    accumulator would wrap on an fc1-sized block).
+    """
+    sum_c = int(np.sum(counts, dtype=np.int64))
+    sum_c2 = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
+    return (4 * sum_c2 - 4 * n * sum_c + counts.size * n * n) / n
+
+
+def square_sum(a: np.ndarray) -> float:
+    """Sum of squares in float64, without a float64 copy of ``a``."""
+    flat = a.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
 
 
 # -- layers ------------------------------------------------------------------
@@ -277,6 +311,9 @@ class Trainer:
             grng_init(cfg.master_seed, i, self.taps) for i in range(cfg.S)
         ]
         self.ledger = GenerationLedger()
+        # eps of every possible count, standardized in float64 once and then
+        # rounded to the working dtype: the same bits as per-draw conversion
+        self._eps_table = counts_to_eps(np.arange(self.n + 1), self.n).astype(cfg.dtype)
         # per-(sample, layer) counts; filled after the first honest step
         # when cache_epsilons is on (the per-step noise repeats, see module
         # docstring)
@@ -287,9 +324,9 @@ class Trainer:
     def _use_cache(self) -> bool:
         return self.cfg.cache_epsilons and self._eps_cache is not None
 
-    # counts -> eps in the working dtype, via exact float64 standardization
     def _eps_from_counts(self, counts: np.ndarray, shape) -> np.ndarray:
-        return counts_to_eps(counts, self.n).astype(self.cfg.dtype).reshape(shape)
+        """eps in the working dtype, gathered from the count table (a new array)."""
+        return np.take(self._eps_table, counts).reshape(shape)
 
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         key = (sample_id, layer_id)
@@ -338,6 +375,17 @@ class Trainer:
             self.ledger.clear()
             self._step_log = {}
             self._prestep_states = [s.lfsr for s in self.streams]
+        # sigma is fixed within a step, so the sample-independent terms of
+        # log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2 and
+        # of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
+        # are taken once per layer
+        post_const, prior_const = {}, {}
+        for lid, layer in enumerate(self.model.layers):
+            if layer.kind in BAYES_KINDS:
+                log_sigma = float(np.log(layer.sigma, dtype=np.float64).sum())
+                post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
+                prior_const[lid] = layer.weight_count * (math.log(cfg.sigma_prior)
+                                                         + LOG_SQRT_2PI)
         caches, losses = [], []
         for i in range(cfg.S):
             a = x
@@ -349,13 +397,12 @@ class Trainer:
                     counts = self._draw_counts(i, lid, layer)
                     if honest and cfg.epsilon_strategy == "store":
                         self._step_log[(i, lid)] = counts
-                    eps = self._eps_from_counts(counts, layer.mu.shape)
-                    w = layer.mu + eps * layer.sigma
-                    sig = layer.sigma.astype(np.float64)
-                    p_s += float(np.sum(-np.log(sig * np.sqrt(2 * np.pi))
-                                        - 0.5 * eps.astype(np.float64) ** 2))
-                    p_r += float(np.sum(np.log(cfg.sigma_prior * np.sqrt(2 * np.pi))
-                                        + w.astype(np.float64) ** 2 / (2 * cfg.sigma_prior ** 2)))
+                    # w = mu + eps * sigma, built in the gathered eps buffer
+                    w = self._eps_from_counts(counts, layer.mu.shape)
+                    w *= layer.sigma
+                    w += layer.mu
+                    p_s += post_const[lid] - 0.5 * eps_square_sum(counts, self.n)
+                    p_r += prior_const[lid] + square_sum(w) / (2 * cfg.sigma_prior ** 2)
                     layer_cache.append(("bayes", a))
                     a = layer.forward(a, w)
                 else:
@@ -393,10 +440,14 @@ class Trainer:
                     if pending is not None:
                         pending[(i, lid)] = counts
                     eps = self._eps_from_counts(counts, layer.mu.shape)
-                    w = layer.mu + eps * layer.sigma
-                    x_in = payload
-                    e, dw_lik = layer.backward(x_in, e, w)
-                    dw_prime = dw_lik + cfg.kl_scale * dpu_grad(w, layer.mu, layer.sigma, eps, cfg)
+                    w = eps * layer.sigma
+                    w += layer.mu
+                    e, dw_lik = layer.backward(payload, e, w)
+                    # dw' = dw_lik + kl_scale * dpu_grad, one in-place
+                    # operation at a time (each commutes, so the bits match)
+                    dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg)
+                    dw_prime *= cfg.kl_scale
+                    dw_prime += dw_lik
                     update_gradients(dw_prime, eps, accum.dmu[lid], accum.dsigma[lid])
                 else:
                     e = layer.backward(e, payload)

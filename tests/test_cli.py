@@ -42,10 +42,11 @@ class TestConfigResolution:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         conf = tmp_path / "c.conf"
-        conf.write_text("turbo = on\n")
-        args = cli.build_parser().parse_args(["train", "--config", str(conf)])
-        with pytest.raises(cli.ConfigError):
-            cli.resolve(args)
+        for text in ("turbo = on\n", "threads = 2\n"):
+            conf.write_text(text)
+            args = cli.build_parser().parse_args(["train", "--config", str(conf)])
+            with pytest.raises(cli.ConfigError):
+                cli.resolve(args)
 
     def test_zero_samples_is_config_error(self):
         assert run(["train", "--samples", "0"]) == 2

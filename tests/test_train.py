@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shiftbnn import train
+from shiftbnn import nn, train
 from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
@@ -15,6 +15,7 @@ from shiftbnn.train import (
     build_bmlp,
     build_toyconv,
     dpu_grad,
+    eps_square_sum,
     load_checkpoint,
     sample_weight,
     save_checkpoint,
@@ -74,6 +75,29 @@ class TestPerWeightMath:
         assert dmu[0] == pytest.approx(0.6)
         assert dsigma[0] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("width", [8, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eps_table_matches_direct_conversion(self, width, dtype):
+        cfg = TrainConfig(S=1, dtype=dtype)
+        trainer = Trainer(Model([BayesFC(2, 2)]), cfg, taps=TapSet.default(width))
+        counts = np.arange(width + 1, dtype=np.uint16)
+        got = trainer._eps_from_counts(counts, counts.shape)
+        expect = counts_to_eps(counts, width).astype(dtype)
+        assert got.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("fill", [0, 256])
+    def test_eps_square_sum_exact_on_fc1_block(self, fill):
+        # sum((c - 128)^2) = 313,600 * 128^2 = 5,138,022,400 overflows an
+        # int32, and so does the sum of c^2 for the all-256 block
+        counts = np.full(313_600, fill, dtype=np.uint16)
+        assert eps_square_sum(counts, 256) == 5_138_022_400 / 64
+
+    def test_eps_square_sum_matches_float_reference(self):
+        counts = grng_init(3, 0, TapSet.default(256)).generate_block(313_600)
+        ref = float(np.sum(counts_to_eps(counts, 256) ** 2))
+        assert eps_square_sum(counts, 256) == pytest.approx(ref, rel=1e-12)
+
 
 class TestForwardPass:
     def test_zero_sigma_silences_sampling(self):
@@ -84,11 +108,46 @@ class TestForwardPass:
         model.layers[0].sigma = np.zeros((4, 4), dtype=np.float32)
         trainer = Trainer(model, cfg)
         x = np.array([[0.1, -0.2, 0.3, 0.4]], dtype=np.float32)
-        caches, _ = trainer.forward_pass(x, np.array([0]))
-        for layer_cache, dlogits in caches:
-            pass  # outputs checked through a second forward below
-        out = model.forward_with_weights(x, {0: model.layers[0].mu})
-        assert np.allclose(out, x)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            caches, losses = trainer.forward_pass(x, np.array([0]))
+        # log q(w) of a point mass is unbounded
+        assert all(l.log_posterior == np.inf for l in losses)
+        # every sample ran with w = mu = I, so its logits were x itself
+        _, expect = nn.softmax_xent(x, np.array([0]))
+        for _, dlogits in caches:
+            assert np.array_equal(dlogits, expect)
+
+    @pytest.mark.parametrize("build", [build_toyconv, lambda: Model([
+        BayesFC(100, 30), train.ReLU(), BayesFC(30, 4)], name="small-fc")])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_densities_match_elementwise_reference(self, build, dtype):
+        cfg = TrainConfig(S=2, master_seed=8, kl_scale=0.3, dtype=dtype)
+        model = build()
+        model.init_params(cfg)
+        rng = np.random.default_rng(1)
+        for _, layer in model.bayes_layers():
+            layer.sigma = rng.uniform(1e-3, 0.1, layer.sigma.shape).astype(dtype)
+        x, y = synthetic_batch(count=4)
+        if model.name == "small-fc":
+            x = x.reshape(4, 100)
+        _, losses = Trainer(model, cfg).forward_pass(x, y)
+        for s, loss in enumerate(losses):
+            # the per-element float64 formulas, on independently drawn noise
+            stream = grng_init(8, s, TapSet.default(256))
+            post = prior = 0.0
+            for _, layer in model.bayes_layers():
+                counts = stream.generate_block(layer.weight_count)
+                eps = counts_to_eps(counts, 256).astype(dtype).reshape(layer.mu.shape)
+                w = (layer.mu + eps * layer.sigma).astype(np.float64)
+                sig = layer.sigma.astype(np.float64)
+                post += float(np.sum(-np.log(sig * np.sqrt(2 * np.pi))
+                                     - 0.5 * eps.astype(np.float64) ** 2))
+                prior += float(np.sum(np.log(cfg.sigma_prior * np.sqrt(2 * np.pi))
+                                      + w ** 2 / (2 * cfg.sigma_prior ** 2)))
+            assert type(loss.log_posterior) is float
+            assert type(loss.neg_log_prior) is float
+            assert loss.log_posterior == pytest.approx(cfg.kl_scale * post, rel=1e-12)
+            assert loss.neg_log_prior == pytest.approx(cfg.kl_scale * prior, rel=1e-12)
 
     def test_same_seed_bitwise_identical_losses(self):
         x, y = synthetic_batch()
