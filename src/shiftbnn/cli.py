@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import costmodel, data, grng, lfsr, train
+from . import costmodel, data, grng, lfsr, nn, train
 
 DEFAULTS = {
     "model": "b-mlp",
@@ -103,10 +103,13 @@ def _find_idx(directory: str, stem: str) -> str:
     raise FileNotFoundError(f"no {stem}[.gz] under {directory}")
 
 
-def resolve_dataset(spec: str, split: str, seed: int):
-    """(examples, labels) for 'synthetic[:k=v,...]' or an IDX directory."""
+def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
+    """(examples, labels) for 'synthetic[:k=v,...]' or an IDX directory.
+
+    ``dims`` is the synthetic example shape unless the spec sets ``dims=``.
+    """
     if spec.startswith("synthetic"):
-        opts = {"seed": seed, "count": 512, "dims": (8, 8), "classes": 4}
+        opts = {"seed": seed, "count": 512, "dims": dims, "classes": 4}
         if ":" in spec:
             for item in spec.split(":", 1)[1].split(","):
                 key, _, raw = item.partition("=")
@@ -133,12 +136,20 @@ def resolve_dataset(spec: str, split: str, seed: int):
     raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
 
 
-def _shape_inputs(model_name: str, images: np.ndarray) -> np.ndarray:
-    if model_name in ("b-mlp",):
-        return images.reshape(len(images), -1)
-    if images.ndim == 3:  # add the channel axis conv layers expect
-        return images[:, None, :, :]
-    return images
+def _shape_inputs(model: train.Model, images: np.ndarray) -> np.ndarray:
+    """Examples in the layout the model's first layer takes.
+
+    Each example must have the model's input shape, or that shape without
+    a leading single channel; anything else is a ShapeMismatch.
+    """
+    shape = model.input_shape
+    got = images.shape[1:]
+    if got != shape and (1,) + got != shape:
+        raise nn.ShapeMismatch(f"{model.name} takes {'x'.join(map(str, shape))} "
+                               f"inputs, got {'x'.join(map(str, got))}")
+    if model.layers[0].kind == "fc":
+        shape = (math.prod(shape),)
+    return images.reshape((len(images),) + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +179,20 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
         print(f"error: unknown model {name!r} "
               f"(have {sorted(train.MODEL_BUILDERS)})", file=sys.stderr)
         return 2
-    x_train, y_train = resolve_dataset(settings["dataset"], "train", settings["seed"])
-    x_val, y_val = resolve_dataset(settings["dataset"], "test", settings["seed"])
+    model = train.MODEL_BUILDERS[name]()
+    x_train, y_train = resolve_dataset(settings["dataset"], "train", settings["seed"],
+                                       model.input_shape)
+    x_val, y_val = resolve_dataset(settings["dataset"], "test", settings["seed"],
+                                   model.input_shape)
     if settings["limit"]:
         x_train, y_train = x_train[:settings["limit"]], y_train[:settings["limit"]]
-    x_train = _shape_inputs(name, x_train)
-    x_val = _shape_inputs(name, x_val)
+    x_train = _shape_inputs(model, x_train)
+    x_val = _shape_inputs(model, x_val)
 
     batch = settings["batch"] or (128 if os.path.isdir(settings["dataset"]) else 8)
     settings = dict(settings, batch=batch)
     num_batches = math.ceil(len(x_train) / batch)
     cfg = make_train_config(settings, num_batches)
-    model = train.MODEL_BUILDERS[name]()
     model.init_params(cfg)
     trainer = train.Trainer(model, cfg)
 
@@ -253,15 +266,15 @@ def _flatten_steps(steps: list[dict]) -> np.ndarray:
 
 
 def _run_steps(settings: dict, strategy: str, steps: int, taps=None):
-    name = settings["model"]
-    x, y = resolve_dataset(settings["dataset"], "train", settings["seed"])
-    x = _shape_inputs(name, x)
+    model = train.MODEL_BUILDERS[settings["model"]]()
+    x, y = resolve_dataset(settings["dataset"], "train", settings["seed"],
+                           model.input_shape)
+    x = _shape_inputs(model, x)
     batch = settings["batch"] or 8
     cfg = train.TrainConfig(
         S=settings["samples"], lr=settings["lr"], grad_mode=settings["grad_mode"],
         epsilon_strategy=strategy, master_seed=settings["seed"],
     )
-    model = train.MODEL_BUILDERS[name]()
     model.init_params(cfg)
     trainer = _RecordingTrainer(model, cfg, taps=taps)
     for i in range(steps):
@@ -451,7 +464,7 @@ def main(argv=None) -> int:
         if args.command == "rng-selftest":
             return run_rng_selftest(settings)
     except (data.BadMagic, data.TruncatedFile, data.CountMismatch,
-            FileNotFoundError, ConfigError) as exc:
+            FileNotFoundError, ConfigError, nn.ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -3,8 +3,13 @@
 Convolution (as cross-correlation), fully-connected products, ReLU,
 max-pooling and softmax cross-entropy, each with forward, data-backward
 and weight-gradient variants.  Everything is a pure function on numpy
-arrays; convolution loops run in the documented (n, kr, kc) order with
-the spatial work vectorized, so results are reproducible run to run.
+arrays.  Convolutions are matrix products: the forward pass and the
+weight gradient build one image's (N*K*K, R*C) column matrix at a time
+(rows in (n, kr, kc) order, from a ``sliding_window_view``) and make
+one matmul per image; the data backward makes one batched matmul per
+(kr, kc) kernel slot and adds it into the strided input positions.  No
+temporary is larger than one image's column matrix, and the fixed
+order of operations keeps results reproducible run to run.
 
 Layouts: feature maps are [channels, rows, cols] with an optional leading
 batch axis; conv weights are [M_out, N_in, K, K]; FC weights [out, in].
@@ -13,6 +18,7 @@ batch axis; conv weights are [M_out, N_in, K, K]; FC weights [out, in].
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -28,11 +34,29 @@ def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return out + 1
 
 
-def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, width)
+def _image_columns(x: np.ndarray, K: int, stride: int, pad: int, R: int, C: int):
+    """Yield each image's (N*K*K, R*C) column matrix, rows in (n, kr, kc) order.
+
+    Every image is copied into one reused buffer (and, with padding, one
+    reused padded image), so a consumer must be done with a matrix before
+    it asks for the next one.
+    """
+    N, H, W = x.shape[-3:]
+    images = x.reshape((-1, N, H, W))
+    src = images
+    if pad:
+        src = np.zeros((1, N, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    # every strided window of src as a view, ordered (image, n, kr, kc, r, c)
+    windows = sliding_window_view(src, (K, K), axis=(2, 3))
+    windows = windows[:, :, : (R - 1) * stride + 1 : stride,
+                      : (C - 1) * stride + 1 : stride].transpose(0, 1, 4, 5, 2, 3)
+    cols = np.empty((N, K, K, R, C), dtype=x.dtype)
+    flat = cols.reshape(N * K * K, R * C)
+    for b in range(len(images)):
+        if pad:
+            src[0, :, pad:-pad, pad:-pad] = images[b]
+        np.copyto(cols, windows[0 if pad else b])
+        yield flat
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -44,14 +68,11 @@ def conv_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) ->
         raise ShapeMismatch(f"input channels {x.shape[-3]} != weight channels {N}")
     R = _out_extent(x.shape[-2], K, stride, pad)
     C = _out_extent(x.shape[-1], K, stride, pad)
-    xp = _pad2d(x, pad)
-    out = np.zeros(x.shape[:-3] + (M, R, C), dtype=x.dtype)
-    for n in range(N):
-        for kr in range(K):
-            for kc in range(K):
-                patch = xp[..., n, kr : kr + R * stride : stride, kc : kc + C * stride : stride]
-                # accumulate all output channels for this (n, kr, kc) slot
-                out += w[:, n, kr, kc].reshape((M, 1, 1)) * patch[..., None, :, :]
+    out = np.empty(x.shape[:-3] + (M, R, C), dtype=x.dtype)
+    rows = out.reshape((-1, M, R * C))
+    w2 = w.reshape(M, N * K * K).astype(x.dtype, copy=False)
+    for b, cols in enumerate(_image_columns(x, K, stride, pad, R, C)):
+        np.matmul(w2, cols, out=rows[b])
     return out
 
 
@@ -60,7 +81,9 @@ def conv_backward_data(e: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
     """Propagate output errors [(B,)M,R,C] back to input errors [(B,)N,H,W].
 
     Mathematically the adjoint of conv_forward; equals full correlation
-    with 180-degree rotated kernels for stride 1.
+    with 180-degree rotated kernels for stride 1.  Each kernel slot
+    (kr, kc) is one batched [N,M] @ [B,M,R*C] product added into the
+    strided input positions that slot touched.
     """
     M, N, K, _ = w.shape
     if e.shape[-3] != M:
@@ -70,15 +93,20 @@ def conv_backward_data(e: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
     C = _out_extent(W, K, stride, pad)
     if e.shape[-2:] != (R, C):
         raise ShapeMismatch(f"error extents {e.shape[-2:]} != expected {(R, C)}")
-    dxp = np.zeros(e.shape[:-3] + (N, H + 2 * pad, W + 2 * pad), dtype=e.dtype)
-    for n in range(N):
-        for kr in range(K):
-            for kc in range(K):
-                contrib = np.einsum("...mrc,m->...rc", e, w[:, n, kr, kc])
-                dxp[..., n, kr : kr + R * stride : stride, kc : kc + C * stride : stride] += contrib
+    errs = e.reshape((-1, M, R * C))
+    B = len(errs)
+    # [K, K, N, M]: slot (kr, kc) maps output errors to input channels
+    w_slots = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=e.dtype)
+    part = np.empty((B, N, R * C), dtype=e.dtype)
+    dxp = np.zeros((B, N, H + 2 * pad, W + 2 * pad), dtype=e.dtype)
+    for kr in range(K):
+        for kc in range(K):
+            np.matmul(w_slots[kr, kc], errs, out=part)
+            dxp[..., kr : kr + R * stride : stride,
+                kc : kc + C * stride : stride] += part.reshape(B, N, R, C)
     if pad:
         dxp = dxp[..., pad:-pad, pad:-pad]
-    return dxp
+    return dxp.reshape(e.shape[:-3] + dxp.shape[1:])
 
 
 def conv_backward_weights(x: np.ndarray, e: np.ndarray, K: int,
@@ -87,16 +115,13 @@ def conv_backward_weights(x: np.ndarray, e: np.ndarray, K: int,
     N = x.shape[-3]
     M = e.shape[-3]
     R, C = e.shape[-2:]
-    xp = _pad2d(x, pad)
-    dw = np.zeros((M, N, K, K), dtype=x.dtype)
-    for n in range(N):
-        for kr in range(K):
-            for kc in range(K):
-                patch = xp[..., n, kr : kr + R * stride : stride, kc : kc + C * stride : stride]
-                eb = e.reshape((-1,) + e.shape[-3:])
-                pb = patch.reshape((-1,) + patch.shape[-2:])
-                dw[:, n, kr, kc] = np.einsum("bmrc,brc->m", eb, pb)
-    return dw
+    errs = e.reshape((-1, M, R * C))
+    dw = np.zeros((M, N * K * K), dtype=x.dtype)
+    part = np.empty_like(dw)
+    for b, cols in enumerate(_image_columns(x, K, stride, pad, R, C)):
+        np.matmul(errs[b], cols.T, out=part)
+        dw += part
+    return dw.reshape(M, N, K, K)
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -16,6 +16,10 @@ reversible LFSR streams and is handled by one of two strategies:
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
 
+The backward pass stops at the first Bayesian layer, which computes only
+its weight gradient: the errors it would pass to the input image reach
+no parameter.
+
 Per-weight math: eps is gathered from a table of every count's value
 (standardized in float64, rounded once to the working dtype), and the
 sampled weight is built in that buffer in place.  sigma is fixed within
@@ -182,9 +186,11 @@ class BayesConv:
     def forward(self, x, w):
         return nn.conv_forward(x, w, self.stride, self.pad)
 
-    def backward(self, x, e, w):
-        in_hw = x.shape[-2:]
-        dx = nn.conv_backward_data(e, w, in_hw, self.stride, self.pad)
+    def backward(self, x, e, w, need_dx=True):
+        """(input errors or None when not ``need_dx``, likelihood dw)."""
+        dx = None
+        if need_dx:
+            dx = nn.conv_backward_data(e, w, x.shape[-2:], self.stride, self.pad)
         dw = nn.conv_backward_weights(x, e, self.K, self.stride, self.pad)
         return dx, dw
 
@@ -213,8 +219,10 @@ class BayesFC:
     def forward(self, x, w):
         return nn.fc_forward(x, w)
 
-    def backward(self, x, e, w):
-        return nn.fc_backward_data(e, w), nn.fc_backward_weights(x, e)
+    def backward(self, x, e, w, need_dx=True):
+        """(input errors or None when not ``need_dx``, likelihood dw)."""
+        dx = nn.fc_backward_data(e, w) if need_dx else None
+        return dx, nn.fc_backward_weights(x, e)
 
 
 class ReLU:
@@ -257,9 +265,14 @@ BAYES_KINDS = ("conv", "fc")
 
 
 class Model:
-    def __init__(self, layers, name: str = "model"):
+    """Layers in forward order; ``input_shape`` is the shape of one input
+    example the network was written for (fc-first networks take it
+    flattened)."""
+
+    def __init__(self, layers, name: str = "model", input_shape: tuple[int, ...] = ()):
         self.layers = list(layers)
         self.name = name
+        self.input_shape = input_shape
 
     def bayes_layers(self):
         """(layer_id, layer) for every parameterized layer; the id is the
@@ -423,16 +436,20 @@ class Trainer:
         Per layer the retrieved noise reconstructs the sampled weights
         once, serving both the data-error propagation (the rot-180
         adjoint) and the (dmu, dsigma) updates; afterwards the SHIFT
-        streams sit exactly at their pre-step positions.
+        streams sit exactly at their pre-step positions.  The pass ends
+        at the first Bayesian layer, which computes only its weight
+        gradient: no parameter lies below it, so the input errors would
+        be thrown away.
         """
         cfg = self.cfg
         honest = not self._use_cache
         accum = self._get_accum()
         accum.zero()
         pending = {} if (honest and cfg.cache_epsilons) else None
+        first = next(i for i, l in enumerate(self.model.layers) if l.kind in BAYES_KINDS)
         for i in range(cfg.S):
             layer_cache, e = caches[i]
-            for lid in range(len(self.model.layers) - 1, -1, -1):
+            for lid in range(len(self.model.layers) - 1, first - 1, -1):
                 layer = self.model.layers[lid]
                 tag, payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
@@ -442,7 +459,7 @@ class Trainer:
                     eps = self._eps_from_counts(counts, layer.mu.shape)
                     w = eps * layer.sigma
                     w += layer.mu
-                    e, dw_lik = layer.backward(payload, e, w)
+                    e, dw_lik = layer.backward(payload, e, w, need_dx=lid != first)
                     # dw' = dw_lik + kl_scale * dpu_grad, one in-place
                     # operation at a time (each commutes, so the bits match)
                     dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg)
@@ -499,7 +516,7 @@ def build_bmlp() -> Model:
         BayesFC(784, 400), ReLU(),
         BayesFC(400, 400), ReLU(),
         BayesFC(400, 10),
-    ], name="b-mlp")
+    ], name="b-mlp", input_shape=(28, 28))
 
 
 def build_toyconv() -> Model:
@@ -510,7 +527,7 @@ def build_toyconv() -> Model:
         BayesConv(4, 8, 3), ReLU(),      # 4 -> 2
         Flatten(),
         BayesFC(8 * 2 * 2, 10),
-    ], name="toy-conv")
+    ], name="toy-conv", input_shape=(1, 10, 10))
 
 
 def build_blenet() -> Model:
@@ -524,7 +541,7 @@ def build_blenet() -> Model:
         BayesFC(16 * 5 * 5, 120), ReLU(),
         BayesFC(120, 84), ReLU(),
         BayesFC(84, 10),
-    ], name="b-lenet")
+    ], name="b-lenet", input_shape=(3, 32, 32))
 
 
 MODEL_BUILDERS = {

@@ -93,6 +93,20 @@ class TestTrain:
             outs[strategy] = out.read_bytes()
         assert outs["store"] == outs["shift"]
 
+    @pytest.mark.parametrize("model", ["b-mlp", "toy-conv", "b-lenet"])
+    def test_default_synthetic_takes_model_input_shape(self, tmp_path, model):
+        assert run(["train", "--model", model, "--dataset", "synthetic:count=16",
+                    "--samples", "2", "--out", str(tmp_path / "m.sbnn")]) == 0
+
+    def test_mismatched_synthetic_dims_is_named_error(self, tmp_path, capsys):
+        code = run(["train", "--model", "b-lenet", "--dataset",
+                    "synthetic:count=16,dims=8x8", "--samples", "2",
+                    "--out", str(tmp_path / "m.sbnn")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "3x32x32" in err and "8x8" in err
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):

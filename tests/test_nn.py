@@ -1,5 +1,7 @@
 """Tensor-math checks against brute-force loops and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,90 @@ def naive_conv(x, w, stride=1, pad=0):
                             acc += w[m, n, kr, kc] * xp[n, r * stride + kr, c * stride + kc]
                 out[m, r, c] = acc
     return out
+
+
+def loop_conv_backward_data(e, w, in_hw, stride=1, pad=0):
+    """Reference input errors: one einsum per (n, kr, kc) kernel slot."""
+    M, N, K, _ = w.shape
+    H, W = in_hw
+    R, C = e.shape[-2:]
+    dxp = np.zeros(e.shape[:-3] + (N, H + 2 * pad, W + 2 * pad), dtype=e.dtype)
+    for n in range(N):
+        for kr in range(K):
+            for kc in range(K):
+                contrib = np.einsum("...mrc,m->...rc", e, w[:, n, kr, kc])
+                dxp[..., n, kr : kr + R * stride : stride, kc : kc + C * stride : stride] += contrib
+    if pad:
+        dxp = dxp[..., pad:-pad, pad:-pad]
+    return dxp
+
+
+def loop_conv_backward_weights(x, e, K, stride=1, pad=0):
+    """Reference weight gradient: one einsum per (n, kr, kc) kernel slot."""
+    N = x.shape[-3]
+    M = e.shape[-3]
+    R, C = e.shape[-2:]
+    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
+    xp = np.pad(x, width)
+    eb = e.reshape((-1,) + e.shape[-3:])
+    dw = np.zeros((M, N, K, K), dtype=x.dtype)
+    for n in range(N):
+        for kr in range(K):
+            for kc in range(K):
+                patch = xp[..., n, kr : kr + R * stride : stride, kc : kc + C * stride : stride]
+                pb = patch.reshape((-1,) + patch.shape[-2:])
+                dw[:, n, kr, kc] = np.einsum("bmrc,brc->m", eb, pb)
+    return dw
+
+
+def assert_close(got, ref, dtype, rtol):
+    """Same dtype, and equal up to rtol relative to the reference's scale."""
+    assert got.dtype == dtype
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+GRID = [(1, 0, 7), (1, 1, 7), (2, 1, 7), (3, 0, 9)]
+PRECISIONS = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
+@pytest.mark.parametrize("dtype,rtol", PRECISIONS)
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("stride,pad,hw", GRID)
+def test_conv_kernels_match_slot_loops(stride, pad, hw, batch, dtype, rtol):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(batch + (3, hw, hw)).astype(dtype)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    y = nn.conv_forward(x, w, stride, pad)
+    ref = np.stack([naive_conv(xi.astype(np.float64), w.astype(np.float64), stride, pad)
+                    for xi in x.reshape((-1, 3, hw, hw))])
+    assert_close(y, ref.reshape(y.shape), dtype, rtol)
+    e = rng.standard_normal(y.shape).astype(dtype)
+    assert_close(nn.conv_backward_data(e, w, (hw, hw), stride, pad),
+                 loop_conv_backward_data(e, w, (hw, hw), stride, pad), dtype, rtol)
+    assert_close(nn.conv_backward_weights(x, e, 3, stride, pad),
+                 loop_conv_backward_weights(x, e, 3, stride, pad), dtype, rtol)
+
+
+@pytest.mark.parametrize("kernel", ["forward", "backward_data", "backward_weights"])
+def test_conv_kernel_peak_below_one_mib(kernel):
+    # b-lenet conv1 at batch 8: a whole-batch im2col alone would take 1.9 MiB
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+    w = rng.standard_normal((6, 3, 5, 5)).astype(np.float32)
+    e = rng.standard_normal((8, 6, 28, 28)).astype(np.float32)
+    call = {
+        "forward": lambda: nn.conv_forward(x, w),
+        "backward_data": lambda: nn.conv_backward_data(e, w, (32, 32)),
+        "backward_weights": lambda: nn.conv_backward_weights(x, e, 5),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("stride,pad,hw", [(1, 0, 7), (1, 1, 7), (2, 1, 7), (3, 0, 9)])

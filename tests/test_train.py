@@ -262,6 +262,46 @@ class TestTrainStep:
         assert cfg.lr / cfg.S == pytest.approx(0.1)
 
 
+class TestBackwardStopsAtFirstLayer:
+    """The first Bayesian layer's input errors have no parameter to reach,
+    so a step computes only its weight gradient."""
+
+    @pytest.mark.parametrize("build,shape,kernel,calls", [
+        (build_toyconv, (1, 10, 10), "conv_backward_data", 2),  # conv2 only
+        (build_bmlp, (784,), "fc_backward_data", 4),  # fc3 and fc2
+    ])
+    def test_no_data_error_pass_below_first_layer(self, monkeypatch, build, shape,
+                                                  kernel, calls):
+        cfg = TrainConfig(S=2, master_seed=1)
+        model = build()
+        model.init_params(cfg)
+        x = np.random.default_rng(2).random((4,) + shape).astype(np.float32)
+        seen = []
+        original = getattr(nn, kernel)
+
+        def counting(*args, **kwargs):
+            seen.append(kernel)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nn, kernel, counting)
+        Trainer(model, cfg).train_step(x, np.array([0, 1, 2, 3]))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("layer,x_shape,e_shape", [
+        (train.BayesConv(2, 3, 3, pad=1), (4, 2, 6, 6), (4, 3, 6, 6)),
+        (BayesFC(5, 3), (4, 5), (4, 3)),
+    ])
+    def test_need_dx_false_keeps_weight_gradient(self, layer, x_shape, e_shape):
+        layer.init_params(np.random.default_rng(3), TrainConfig(dtype=np.float64))
+        rng = np.random.default_rng(4)
+        x, e = rng.standard_normal(x_shape), rng.standard_normal(e_shape)
+        dx, dw = layer.backward(x, e, layer.mu)
+        none, dw_only = layer.backward(x, e, layer.mu, need_dx=False)
+        assert dx.shape == x_shape
+        assert none is None
+        assert np.array_equal(dw_only, dw)
+
+
 def _run_strategy(strategy, steps=5, cache=False):
     x, y = synthetic_batch()
     cfg = TrainConfig(S=3, lr=1e-2, master_seed=7, epsilon_strategy=strategy,
