@@ -3,7 +3,9 @@
 Configuration precedence is flags > config file > defaults.  The config
 file is flat ``key = value`` text; keys use the same names as the long
 flags with dashes replaced by underscores.  Every command is
-deterministic given its flags: all randomness flows from --seed.
+deterministic given its flags: all randomness flows from --seed.  The
+checkpoint bytes of ``train`` also depend on the BLAS summation order,
+so they repeat only for a fixed ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -129,10 +131,7 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
         return images[:half], labels[:half]
     if os.path.isdir(spec):
         images, labels = _IDX_NAMES[split]
-        source = data.DatasetSource("idx",
-                                    images_path=_find_idx(spec, images),
-                                    labels_path=_find_idx(spec, labels))
-        return data.load_dataset(source)
+        return data.load_idx(_find_idx(spec, images), _find_idx(spec, labels))
     raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
 
 
@@ -147,9 +146,13 @@ def _shape_inputs(model: train.Model, images: np.ndarray) -> np.ndarray:
     if got != shape and (1,) + got != shape:
         raise nn.ShapeMismatch(f"{model.name} takes {'x'.join(map(str, shape))} "
                                f"inputs, got {'x'.join(map(str, got))}")
-    if model.layers[0].kind == "fc":
-        shape = (math.prod(shape),)
-    return images.reshape((len(images),) + shape)
+    return images.reshape((len(images),) + model.feed_shape)
+
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r} (have {sorted(table)})")
+    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +177,7 @@ def make_train_config(settings: dict, num_batches: int) -> train.TrainConfig:
 
 
 def run_train(settings: dict, log_stream=sys.stdout) -> int:
-    name = settings["model"]
-    if name not in train.MODEL_BUILDERS:
-        print(f"error: unknown model {name!r} "
-              f"(have {sorted(train.MODEL_BUILDERS)})", file=sys.stderr)
-        return 2
-    model = train.MODEL_BUILDERS[name]()
+    model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x_train, y_train = resolve_dataset(settings["dataset"], "train", settings["seed"],
                                        model.input_shape)
     x_val, y_val = resolve_dataset(settings["dataset"], "test", settings["seed"],
@@ -254,8 +252,8 @@ class _RecordingTrainer(train.Trainer):
         self._gen_step[(sample_id, layer_id)] = np.asarray(counts)
         return counts
 
-    def _retrieve_counts(self, sample_id, layer_id, layer):
-        counts = super()._retrieve_counts(sample_id, layer_id, layer)
+    def _retrieve_counts(self, sample_id, layer_id):
+        counts = super()._retrieve_counts(sample_id, layer_id)
         self._ret_step[(sample_id, layer_id)] = np.asarray(counts)
         return counts
 
@@ -266,7 +264,7 @@ def _flatten_steps(steps: list[dict]) -> np.ndarray:
 
 
 def _run_steps(settings: dict, strategy: str, steps: int, taps=None):
-    model = train.MODEL_BUILDERS[settings["model"]]()
+    model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x, y = resolve_dataset(settings["dataset"], "train", settings["seed"],
                            model.input_shape)
     x = _shape_inputs(model, x)
@@ -326,24 +324,34 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     return 1
 
 
+def _samples_list(raw) -> list[int]:
+    try:
+        values = [int(s) for s in str(raw).split(",")]
+    except ValueError:
+        raise ConfigError(f"samples-list {raw!r} is not a comma-separated "
+                          f"list of integers") from None
+    if min(values) < 1:
+        raise ConfigError(f"samples-list {raw!r}: every S must be >= 1")
+    return values
+
+
 def run_cost_report(settings: dict) -> int:
     params = costmodel.CostParams(eps_double_read=settings["eps_double_read"])
     names = (list(costmodel.MODEL_PRESETS) if settings["models"] == "all"
              else settings["models"].split(","))
-    s_values = [int(s) for s in str(settings["samples_list"]).split(",")]
+    specs = [_lookup(costmodel.MODEL_PRESETS, name, "model") for name in names]
+    s_values = _samples_list(settings["samples_list"])
     rows = []
-    for name in names:
-        spec = costmodel.MODEL_PRESETS[name]
+    for name, spec in zip(names, specs):
         for S in s_values:
-            for strategy in ("store", "shift"):
-                report = costmodel.traffic_per_iteration(spec, S, strategy, params)
-                rows.extend(costmodel.report_rows(spec, report, params))
             store = costmodel.traffic_per_iteration(spec, S, "store", params)
             shift = costmodel.traffic_per_iteration(spec, S, "shift", params)
+            rows.extend(costmodel.report_rows(store, params))
+            rows.extend(costmodel.report_rows(shift, params))
             fp_store = sum(costmodel.footprint(spec, S, "store", params).values())
             fp_shift = sum(costmodel.footprint(spec, S, "shift", params).values())
-            cyc_store, _ = costmodel.latency_energy(spec, S, "store", params)
-            cyc_shift, _ = costmodel.latency_energy(spec, S, "shift", params)
+            cyc_store, _ = costmodel.report_cost(store, params)
+            cyc_shift, _ = costmodel.report_cost(shift, params)
             print(f"{name} S={S}: eps_share={store.eps_share:.3f} "
                   f"traffic_ratio={store.totals.traffic_bytes / shift.totals.traffic_bytes:.2f} "
                   f"footprint_reduction={1 - fp_shift / fp_store:.3f} "

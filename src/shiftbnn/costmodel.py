@@ -1,10 +1,12 @@
 """Analytic off-chip traffic, footprint, latency and energy model.
 
-Compares the two noise-handling strategies on fixed network presets:
-STORE writes every per-weight Gaussian draw off-chip during the forward
-pass and reads it back for the fused backward/gradient pass; SHIFT
-regenerates the draws on chip by reversing the generator, so its noise
-traffic is exactly zero.  Everything else (parameter and feature-map
+Compares the two noise-handling strategies on network presets.  b-mlp
+and b-lenet are read from the trainer's own networks
+(``spec_from_model``); alexnet, vgg and resnet, which have no trainer,
+are written out by layer.  STORE writes every per-weight Gaussian draw
+off-chip during the forward pass and reads it back for the fused
+backward/gradient pass; SHIFT regenerates the draws on chip by reversing
+the generator, so its noise traffic is exactly zero.  Everything else (parameter and feature-map
 movement, MAC counts) is identical between the strategies.
 
 Accounting rules, per layer l with |W_l| weights and D_l output values,
@@ -35,7 +37,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+from . import train
 
 STAGES = ("fw", "bw", "gc")
 
@@ -97,6 +103,28 @@ class ModelSpec:
         return sum(l.out_acts for l in self.layers)
 
 
+def spec_from_model(model: train.Model) -> ModelSpec:
+    """The cost description of a trainer network.
+
+    The example shape is carried through the layers' ``out_shape``; no
+    array is made.  Each Bayesian layer, named conv1.../fc1... in forward
+    order, counts its weights and its own output values; each output
+    value of a channel takes one MAC per weight of that channel, so
+    macs = weights * out_acts / out_channels for conv and fc alike.
+    """
+    shape = model.feed_shape
+    seen = Counter()
+    layers = []
+    for layer in model.layers:
+        shape = layer.out_shape(shape)
+        if layer.kind in train.BAYES_KINDS:
+            seen[layer.kind] += 1
+            w, out_acts = layer.weight_count, math.prod(shape)
+            layers.append(LayerCost(f"{layer.kind}{seen[layer.kind]}", layer.kind,
+                                    w, out_acts, w * out_acts // shape[0]))
+    return ModelSpec(model.name, tuple(layers))
+
+
 def _vgg16_layers() -> tuple[LayerCost, ...]:
     cfg = [(64, 224), (64, 224), (128, 112), (128, 112),
            (256, 56), (256, 56), (256, 56),
@@ -129,18 +157,8 @@ def _resnet18_layers() -> tuple[LayerCost, ...]:
 
 
 MODEL_PRESETS = {
-    "b-mlp": ModelSpec("b-mlp", (
-        fc_cost("fc1", 784, 400),
-        fc_cost("fc2", 400, 400),
-        fc_cost("fc3", 400, 10),
-    )),
-    "b-lenet": ModelSpec("b-lenet", (
-        conv_cost("conv1", 3, 6, 5, 28),
-        conv_cost("conv2", 6, 16, 5, 10),
-        fc_cost("fc1", 400, 120),
-        fc_cost("fc2", 120, 84),
-        fc_cost("fc3", 84, 10),
-    )),
+    "b-mlp": spec_from_model(train.MODEL_BUILDERS["b-mlp"]()),
+    "b-lenet": spec_from_model(train.MODEL_BUILDERS["b-lenet"]()),
     "b-alexnet": ModelSpec("b-alexnet", (
         conv_cost("conv1", 3, 96, 11, 55),
         conv_cost("conv2", 96, 256, 5, 27),
@@ -251,23 +269,23 @@ def footprint(model: ModelSpec, S: int, strategy: str,
     }
 
 
+def stage_cost(t: StageTraffic, params: CostParams) -> tuple[float, float]:
+    """(cycles, energy) of one stage, or one layer's total, under double
+    buffering."""
+    return (max(t.macs / params.macs_per_cycle, t.traffic_bytes / params.bw_dram),
+            params.e_dram * t.traffic_bytes + params.e_mac * t.macs)
+
+
+def report_cost(report: TrafficReport, params: CostParams) -> tuple[float, float]:
+    """(cycles, energy) of one iteration: the sum of the layer totals' costs."""
+    costs = [stage_cost(report.layer_total(name), params) for name in report.per_layer]
+    return sum(c for c, _ in costs), sum(e for _, e in costs)
+
+
 def latency_energy(model: ModelSpec, S: int, strategy: str,
                    params: CostParams) -> tuple[float, float]:
     """(cycles, energy) for one iteration under double buffering."""
-    report = traffic_per_iteration(model, S, strategy, params)
-    cycles = 0.0
-    energy = 0.0
-    for layer in model.layers:
-        t = report.layer_total(layer.name)
-        cycles += max(t.macs / params.macs_per_cycle,
-                      t.traffic_bytes / params.bw_dram)
-        energy += params.e_dram * t.traffic_bytes + params.e_mac * t.macs
-    return cycles, energy
-
-
-def layer_cycles(stage_traffic: StageTraffic, params: CostParams) -> float:
-    return max(stage_traffic.macs / params.macs_per_cycle,
-               stage_traffic.traffic_bytes / params.bw_dram)
+    return report_cost(traffic_per_iteration(model, S, strategy, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +363,21 @@ CSV_HEADER = ["model", "layer", "stage", "strategy", "eps_bytes",
               "param_bytes", "fmap_bytes", "macs", "cycles", "energy"]
 
 
-def report_rows(model: ModelSpec, report: TrafficReport,
-                params: CostParams) -> list[dict]:
+def report_rows(report: TrafficReport, params: CostParams) -> list[dict]:
     rows = []
     for name, stages in report.per_layer.items():
         for stage in STAGES:
             t = stages[stage]
+            cycles, energy = stage_cost(t, params)
             rows.append({
                 "model": report.model, "layer": name, "stage": stage,
                 "strategy": report.strategy,
                 "eps_bytes": t.eps_bytes, "param_bytes": t.param_bytes,
                 "fmap_bytes": t.fmap_bytes, "macs": t.macs,
-                "cycles": layer_cycles(t, params),
-                "energy": params.e_dram * t.traffic_bytes + params.e_mac * t.macs,
+                "cycles": cycles, "energy": energy,
             })
     total = report.totals
-    cycles, energy = latency_energy(model, report.S, report.strategy, params)
+    cycles, energy = report_cost(report, params)
     rows.append({
         "model": report.model, "layer": "all", "stage": "total",
         "strategy": report.strategy,

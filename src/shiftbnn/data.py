@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,24 +83,6 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-@dataclass(frozen=True)
-class DatasetSource:
-    kind: str  # "idx" | "synthetic"
-    images_path: str | None = None
-    labels_path: str | None = None
-    seed: int = 0
-    count: int = 512
-    dims: tuple[int, ...] = (8, 8)
-    classes: int = 4
-
-    def __post_init__(self):
-        if self.kind == "idx":
-            if not (self.images_path and self.labels_path):
-                raise ValueError("idx source needs images_path and labels_path")
-        elif self.kind != "synthetic":
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-
-
 def synthetic_dataset(seed: int, count: int, dims: tuple[int, ...],
                       classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic template-plus-noise classification set in [0, 1]."""
@@ -113,13 +94,11 @@ def synthetic_dataset(seed: int, count: int, dims: tuple[int, ...],
     return images, labels.astype(np.int64)
 
 
-def load_dataset(source: DatasetSource) -> tuple[np.ndarray, np.ndarray]:
-    """(examples in [0,1], integer labels); counts are cross-checked."""
-    if source.kind == "synthetic":
-        return synthetic_dataset(source.seed, source.count, source.dims,
-                                 source.classes)
-    images = read_idx_images(source.images_path)
-    labels = read_idx_labels(source.labels_path)
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """(examples in [0,1], integer labels) from an IDX pair; counts are
+    cross-checked."""
+    images = read_idx_images(images_path)
+    labels = read_idx_labels(labels_path)
     if len(images) != len(labels):
         raise CountMismatch(f"{len(images)} images vs {len(labels)} labels")
     return images, labels

@@ -25,7 +25,7 @@ class ShapeMismatch(ValueError):
     pass
 
 
-def _out_extent(size: int, k: int, stride: int, pad: int) -> int:
+def out_extent(size: int, k: int, stride: int, pad: int) -> int:
     out, rem = divmod(size + 2 * pad - k, stride)
     if rem:
         raise ShapeMismatch(
@@ -66,8 +66,8 @@ def conv_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) ->
         raise ShapeMismatch("non-square kernels unsupported")
     if x.shape[-3] != N:
         raise ShapeMismatch(f"input channels {x.shape[-3]} != weight channels {N}")
-    R = _out_extent(x.shape[-2], K, stride, pad)
-    C = _out_extent(x.shape[-1], K, stride, pad)
+    R = out_extent(x.shape[-2], K, stride, pad)
+    C = out_extent(x.shape[-1], K, stride, pad)
     out = np.empty(x.shape[:-3] + (M, R, C), dtype=x.dtype)
     rows = out.reshape((-1, M, R * C))
     w2 = w.reshape(M, N * K * K).astype(x.dtype, copy=False)
@@ -89,8 +89,8 @@ def conv_backward_data(e: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
     if e.shape[-3] != M:
         raise ShapeMismatch(f"error channels {e.shape[-3]} != weight out-channels {M}")
     H, W = in_hw
-    R = _out_extent(H, K, stride, pad)
-    C = _out_extent(W, K, stride, pad)
+    R = out_extent(H, K, stride, pad)
+    C = out_extent(W, K, stride, pad)
     if e.shape[-2:] != (R, C):
         raise ShapeMismatch(f"error extents {e.shape[-2:]} != expected {(R, C)}")
     errs = e.reshape((-1, M, R * C))
@@ -155,8 +155,8 @@ def maxpool_fwd(x: np.ndarray, k: int = 2, stride: int | None = None):
     """Max pool [(B,)N,H,W]; returns (output, argmax index array for bwd)."""
     stride = stride or k
     H, W = x.shape[-2:]
-    R = _out_extent(H, k, stride, 0)
-    C = _out_extent(W, k, stride, 0)
+    R = out_extent(H, k, stride, 0)
+    C = out_extent(W, k, stride, 0)
     windows = np.empty(x.shape[:-2] + (R, C, k * k), dtype=x.dtype)
     for kr in range(k):
         for kc in range(k):

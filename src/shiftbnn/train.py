@@ -35,22 +35,25 @@ restored to their pre-step state (that is what reversal means), the next
 step's forward shifting regenerates the same per-step noise sequence.
 The noise is therefore a fixed set of quadrature points per (sample,
 weight) rather than fresh per step; STORE mirrors this so the two
-strategies stay comparable.  ``TrainConfig.cache_epsilons`` exploits the
-reuse by caching the per-step counts after the first step.
+strategies stay comparable.  Every step still draws its noise forward
+and retrieves it by the configured strategy.
+
+The built-in networks (``MODEL_BUILDERS``) are also the cost model's
+b-mlp and b-lenet: ``costmodel.spec_from_model`` reads their shapes.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .grng import GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
-from .replay import GenerationLedger, LedgerMismatch, SegmentRecord
+from .replay import GenerationLedger, SegmentRecord
 
 SIGMA_MIN_DEFAULT = 1e-6
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
@@ -73,7 +76,6 @@ class TrainConfig:
     # coherently; a small initial sigma keeps early activations bounded
     sigma_init: float = 0.005
     dtype: type = np.float32
-    cache_epsilons: bool = False
 
     def __post_init__(self):
         if self.S < 1:
@@ -108,12 +110,6 @@ class LossBreakdown:
 # -- per-weight math, as used by the function units -------------------------
 
 
-def sample_weight(mu, sigma, eps):
-    """w = mu + eps * sigma (eps may be an Epsilon or a value array)."""
-    value = getattr(eps, "value", eps)
-    return mu + value * sigma
-
-
 def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig):
     """d(posterior + prior terms)/dw for one sampled weight.
 
@@ -121,10 +117,9 @@ def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig):
     (a 2-bit left shift when sigma_prior = 0.5); "exact" mode adds the
     posterior's through-w derivative -eps / sigma.
     """
-    value = getattr(eps, "value", eps)
     g = w / (cfg.sigma_prior ** 2)
     if cfg.grad_mode == "exact":
-        g -= value / sigma
+        g -= eps / sigma
     return g
 
 
@@ -133,9 +128,8 @@ def update_gradients(dw_prime, eps, accum_mu, accum_sigma) -> None:
 
     An array ``dw_prime`` is overwritten with dw' * eps.
     """
-    value = getattr(eps, "value", eps)
     accum_mu += dw_prime
-    dw_prime *= value
+    dw_prime *= eps
     accum_sigma += dw_prime
 
 
@@ -183,6 +177,10 @@ class BayesConv:
         self.mu = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(cfg.dtype)
         self.sigma = np.full(shape, cfg.sigma_init, dtype=cfg.dtype)
 
+    def out_shape(self, in_shape):
+        return (self.M,) + tuple(nn.out_extent(n, self.K, self.stride, self.pad)
+                                 for n in in_shape[-2:])
+
     def forward(self, x, w):
         return nn.conv_forward(x, w, self.stride, self.pad)
 
@@ -216,6 +214,9 @@ class BayesFC:
         self.mu = (rng.standard_normal(shape) / np.sqrt(self.n_in)).astype(cfg.dtype)
         self.sigma = np.full(shape, cfg.sigma_init, dtype=cfg.dtype)
 
+    def out_shape(self, in_shape):
+        return (self.n_out,)
+
     def forward(self, x, w):
         return nn.fc_forward(x, w)
 
@@ -227,6 +228,9 @@ class BayesFC:
 
 class ReLU:
     kind = "relu"
+
+    def out_shape(self, in_shape):
+        return in_shape
 
     def forward(self, x):
         return nn.relu_fwd(x), x
@@ -241,6 +245,10 @@ class MaxPool:
     def __init__(self, k: int = 2):
         self.k = k
 
+    def out_shape(self, in_shape):
+        return in_shape[:-2] + tuple(nn.out_extent(n, self.k, self.k, 0)
+                                     for n in in_shape[-2:])
+
     def forward(self, x):
         out, arg = nn.maxpool_fwd(x, self.k)
         return out, (arg, x.shape[-2:])
@@ -252,6 +260,9 @@ class MaxPool:
 
 class Flatten:
     kind = "flatten"
+
+    def out_shape(self, in_shape):
+        return (math.prod(in_shape),)
 
     def forward(self, x):
         lead = x.shape[:-3]
@@ -273,6 +284,13 @@ class Model:
         self.layers = list(layers)
         self.name = name
         self.input_shape = input_shape
+
+    @property
+    def feed_shape(self) -> tuple[int, ...]:
+        """One example's shape as the first layer takes it."""
+        if self.layers[0].kind == "fc":
+            return (math.prod(self.input_shape),)
+        return self.input_shape
 
     def bayes_layers(self):
         """(layer_id, layer) for every parameterized layer; the id is the
@@ -327,24 +345,13 @@ class Trainer:
         # eps of every possible count, standardized in float64 once and then
         # rounded to the working dtype: the same bits as per-draw conversion
         self._eps_table = counts_to_eps(np.arange(self.n + 1), self.n).astype(cfg.dtype)
-        # per-(sample, layer) counts; filled after the first honest step
-        # when cache_epsilons is on (the per-step noise repeats, see module
-        # docstring)
-        self._eps_cache: dict[tuple[int, int], np.ndarray] | None = None
         self._accum = None
-
-    @property
-    def _use_cache(self) -> bool:
-        return self.cfg.cache_epsilons and self._eps_cache is not None
 
     def _eps_from_counts(self, counts: np.ndarray, shape) -> np.ndarray:
         """eps in the working dtype, gathered from the count table (a new array)."""
         return np.take(self._eps_table, counts).reshape(shape)
 
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        key = (sample_id, layer_id)
-        if self._use_cache:
-            return self._eps_cache[key]
         stream = self.streams[sample_id]
         start_position = stream.position
         counts = stream.generate_block(layer.weight_count)
@@ -357,24 +364,17 @@ class Trainer:
             traversal="m-n-rowmajor" if layer.kind == "conv" else "out-in",
             start_position=start_position,
         ))
+        if self.cfg.epsilon_strategy == "store":
+            self._step_log[(sample_id, layer_id)] = counts
         return counts
 
-    def _retrieve_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
+    def _retrieve_counts(self, sample_id: int, layer_id: int) -> np.ndarray:
         """Counts in forward order, recovered per the configured strategy."""
-        key = (sample_id, layer_id)
-        if self._use_cache:
-            return self._eps_cache[key]
         if self.cfg.epsilon_strategy == "store":
-            return self._step_log[key]
+            return self._step_log[(sample_id, layer_id)]
         rec = self.ledger.layer_segment(layer_id, sample_id)
-        stream = self.streams[sample_id]
-        retrieved = stream.retrieve_block(layer.weight_count)
-        if len(retrieved) != rec.counts:
-            raise LedgerMismatch(
-                f"layer {layer_id} sample {sample_id}: retrieved {len(retrieved)}, "
-                f"recorded {rec.counts}"
-            )
-        return retrieved[::-1]  # reverse retrieval order -> forward order
+        # reverse retrieval order -> forward order
+        return self.streams[sample_id].retrieve_block(rec.counts)[::-1]
 
     def forward_pass(self, x, y):
         """Returns (per-sample caches, per-sample LossBreakdown list).
@@ -383,11 +383,9 @@ class Trainer:
         epsilons are not (SHIFT) or go to the step log (STORE).
         """
         cfg = self.cfg
-        honest = not self._use_cache
-        if honest:
-            self.ledger.clear()
-            self._step_log = {}
-            self._prestep_states = [s.lfsr for s in self.streams]
+        self.ledger.clear()
+        self._step_log = {}
+        self._prestep_states = [s.lfsr for s in self.streams]
         # sigma is fixed within a step, so the sample-independent terms of
         # log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2 and
         # of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
@@ -408,8 +406,6 @@ class Trainer:
             for lid, layer in enumerate(self.model.layers):
                 if layer.kind in BAYES_KINDS:
                     counts = self._draw_counts(i, lid, layer)
-                    if honest and cfg.epsilon_strategy == "store":
-                        self._step_log[(i, lid)] = counts
                     # w = mu + eps * sigma, built in the gathered eps buffer
                     w = self._eps_from_counts(counts, layer.mu.shape)
                     w *= layer.sigma
@@ -442,10 +438,8 @@ class Trainer:
         be thrown away.
         """
         cfg = self.cfg
-        honest = not self._use_cache
         accum = self._get_accum()
         accum.zero()
-        pending = {} if (honest and cfg.cache_epsilons) else None
         first = next(i for i, l in enumerate(self.model.layers) if l.kind in BAYES_KINDS)
         for i in range(cfg.S):
             layer_cache, e = caches[i]
@@ -453,9 +447,7 @@ class Trainer:
                 layer = self.model.layers[lid]
                 tag, payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
-                    counts = self._retrieve_counts(i, lid, layer)
-                    if pending is not None:
-                        pending[(i, lid)] = counts
+                    counts = self._retrieve_counts(i, lid)
                     eps = self._eps_from_counts(counts, layer.mu.shape)
                     w = eps * layer.sigma
                     w += layer.mu
@@ -468,13 +460,11 @@ class Trainer:
                     update_gradients(dw_prime, eps, accum.dmu[lid], accum.dsigma[lid])
                 else:
                     e = layer.backward(e, payload)
-        if honest and cfg.epsilon_strategy == "store":
+        if cfg.epsilon_strategy == "store":
             # mirror SHIFT's stream restoration so both strategies start the
             # next step from identical generator states
             for stream, state in zip(self.streams, self._prestep_states):
                 stream.reset_to(state)
-        if pending is not None:
-            self._eps_cache = pending
         return accum
 
     def _get_accum(self) -> GradAccum:
@@ -491,7 +481,6 @@ class Trainer:
             layer.mu -= scale * accum.dmu[lid]
             layer.sigma -= scale * accum.dsigma[lid]
             np.maximum(layer.sigma, cfg.dtype(cfg.sigma_min), out=layer.sigma)
-        accum.zero()
         k = len(losses)
         return LossBreakdown(
             likelihood_nll=sum(l.likelihood_nll for l in losses) / k,

@@ -121,6 +121,11 @@ class TestVerifyEquivalence:
         assert n == 256
         assert np.array_equal(a, b)
 
+    def test_unknown_model(self, tmp_path, capsys):
+        assert run(["verify-equivalence", "--model", "b-foo",
+                    "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown model 'b-foo'")
+
     def test_corrupted_taps_detected(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run(["verify-equivalence", "--model", "toy-conv",
@@ -141,6 +146,20 @@ class TestCostReport:
         assert shift_rows and all(r["eps_bytes"] == 0 for r in shift_rows)
         summary = capsys.readouterr().out
         assert "eps_share" in summary
+
+    def test_unknown_model(self, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        assert run(["cost-report", "--models", "b-mlp,b-foo",
+                    "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown model 'b-foo'")
+        assert captured.out == "" and not report.exists()
+
+    @pytest.mark.parametrize("samples", ["8,x", "0"])
+    def test_bad_samples_list(self, capsys, samples):
+        assert run(["cost-report", "--models", "b-mlp",
+                    "--samples-list", samples]) == 2
+        assert capsys.readouterr().err.startswith("error: samples-list")
 
     def test_eps_share_monotone_per_model(self, capsys):
         code = run(["cost-report", "--models", "b-alexnet",

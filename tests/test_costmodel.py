@@ -12,6 +12,7 @@ from shiftbnn.costmodel import (
     MODEL_PRESETS,
     CostParams,
     LayerCost,
+    ModelSpec,
     conv_cost,
     dnn_traffic,
     fc_cost,
@@ -20,9 +21,11 @@ from shiftbnn.costmodel import (
     mapping_overhead,
     read_csv,
     report_rows,
+    spec_from_model,
     traffic_per_iteration,
     write_csv,
 )
+from shiftbnn.train import MODEL_BUILDERS
 
 P = CostParams()
 
@@ -41,6 +44,25 @@ class TestPresets:
         assert conv1.weights == 6 * 3 * 5 * 5
         assert conv1.out_acts == 6 * 28 * 28
         assert conv1.macs == conv1.weights * 28 * 28
+
+    @pytest.mark.parametrize("name,layers", [
+        # the hand-typed specs the trainer-derived presets replaced
+        ("b-mlp", (LayerCost("fc1", "fc", 313_600, 400, 313_600),
+                   LayerCost("fc2", "fc", 160_000, 400, 160_000),
+                   LayerCost("fc3", "fc", 4_000, 10, 4_000))),
+        ("b-lenet", (LayerCost("conv1", "conv", 450, 4_704, 352_800),
+                     LayerCost("conv2", "conv", 2_400, 1_600, 240_000),
+                     LayerCost("fc1", "fc", 48_000, 120, 48_000),
+                     LayerCost("fc2", "fc", 10_080, 84, 10_080),
+                     LayerCost("fc3", "fc", 840, 10, 840))),
+        ("toy-conv", (conv_cost("conv1", 1, 4, 3, 8), conv_cost("conv2", 4, 8, 3, 2),
+                      fc_cost("fc1", 32, 10))),
+    ])
+    def test_spec_from_trainer_network(self, name, layers):
+        spec = spec_from_model(MODEL_BUILDERS[name]())
+        assert spec == ModelSpec(name, layers)
+        if name in MODEL_PRESETS:
+            assert spec == MODEL_PRESETS[name]
 
     def test_vgg_is_large(self):
         assert MODEL_PRESETS["b-vgg"].total_weights > 130e6
@@ -163,7 +185,6 @@ class TestLatencyEnergy:
         # a tiny fc layer moves more bytes than it computes, so the
         # double-buffered time is the transfer time
         layer = fc_cost("fc", 10, 10)
-        from shiftbnn.costmodel import ModelSpec
         spec = ModelSpec("tiny", (layer,))
         cycles, _ = latency_energy(spec, 1, "shift", P)
         r = traffic_per_iteration(spec, 1, "shift", P)
@@ -207,7 +228,7 @@ class TestCsvRoundtrip:
     def test_rows_roundtrip_without_loss(self):
         spec = MODEL_PRESETS["b-lenet"]
         r = traffic_per_iteration(spec, 8, "store", P)
-        rows = report_rows(spec, r, P)
+        rows = report_rows(r, P)
         buf = io.StringIO()
         write_csv(buf, rows)
         buf.seek(0)
@@ -218,10 +239,11 @@ class TestCsvRoundtrip:
     def test_totals_row_matches(self):
         spec = MODEL_PRESETS["b-mlp"]
         r = traffic_per_iteration(spec, 8, "store", P)
-        rows = report_rows(spec, r, P)
+        rows = report_rows(r, P)
         total = [row for row in rows if row["stage"] == "total"][0]
         assert total["eps_bytes"] == r.totals.eps_bytes
         assert total["macs"] == r.totals.macs
+        assert (total["cycles"], total["energy"]) == latency_energy(spec, 8, "store", P)
 
 
 @given(s=st.integers(min_value=1, max_value=64),
@@ -229,7 +251,6 @@ class TestCsvRoundtrip:
        m_out=st.integers(min_value=1, max_value=64))
 @settings(max_examples=40, deadline=None)
 def test_single_fc_traffic_closed_form(s, n_in, m_out):
-    from shiftbnn.costmodel import ModelSpec
     spec = ModelSpec("one", (fc_cost("fc", n_in, m_out),))
     r = traffic_per_iteration(spec, s, "store", P)
     w = n_in * m_out

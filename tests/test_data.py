@@ -9,9 +9,8 @@ import pytest
 from shiftbnn.data import (
     BadMagic,
     CountMismatch,
-    DatasetSource,
     TruncatedFile,
-    load_dataset,
+    load_idx,
     read_idx_images,
     read_idx_labels,
     synthetic_dataset,
@@ -67,12 +66,12 @@ class TestIdx:
             read_idx_labels(lp)
 
     def test_count_mismatch(self, idx_pair, tmp_path):
-        ip, _, _ = idx_pair
+        ip, lp, labels = idx_pair
+        assert np.array_equal(load_idx(ip, lp)[1], labels)
         lp = tmp_path / "short.idx"
         write_idx_labels(lp, np.zeros(5, dtype=np.int64))
         with pytest.raises(CountMismatch):
-            load_dataset(DatasetSource("idx", images_path=str(ip),
-                                       labels_path=str(lp)))
+            load_idx(ip, lp)
 
 
 class TestSynthetic:
@@ -92,9 +91,3 @@ class TestSynthetic:
         assert x.shape == (100, 4, 4)
         assert x.min() >= 0 and x.max() <= 1
         assert set(np.unique(y)) <= set(range(5))
-
-    def test_source_validation(self):
-        with pytest.raises(ValueError):
-            DatasetSource("idx")
-        with pytest.raises(ValueError):
-            DatasetSource("csv")

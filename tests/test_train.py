@@ -7,6 +7,7 @@ from shiftbnn import nn, train
 from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
+    MODEL_BUILDERS,
     BayesFC,
     Model,
     TrainConfig,
@@ -17,7 +18,6 @@ from shiftbnn.train import (
     dpu_grad,
     eps_square_sum,
     load_checkpoint,
-    sample_weight,
     save_checkpoint,
     update_gradients,
 )
@@ -49,14 +49,6 @@ class TestConfig:
 
 
 class TestPerWeightMath:
-    def test_sample_weight(self):
-        assert sample_weight(0.5, 0.1, 0.0) == 0.5
-        assert sample_weight(0.5, 0.1, 1.0) == pytest.approx(0.6)
-
-    def test_sample_weight_from_count(self):
-        eps = counts_to_eps(np.array([136]), 256)[0]
-        assert sample_weight(0.0, 1.0, eps) == pytest.approx(1.0)
-
     def test_dpu_paper_mode_is_times_four(self):
         cfg = TrainConfig(grad_mode="paper")
         assert dpu_grad(0.3, 0.0, 0.1, 0.0, cfg) == pytest.approx(1.2)
@@ -161,6 +153,21 @@ class TestForwardPass:
                             for l in losses])
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_out_shape_matches_forward(self, name):
+        # the cost model reads layer shapes from out_shape, not from a forward
+        model = MODEL_BUILDERS[name]()
+        model.init_params(TrainConfig())
+        shape = model.feed_shape
+        a = np.zeros((2,) + shape, dtype=np.float32)
+        for layer in model.layers:
+            if layer.kind in train.BAYES_KINDS:
+                a = layer.forward(a, layer.mu)
+            else:
+                a, _ = layer.forward(a)
+            shape = layer.out_shape(shape)
+            assert a.shape == (2,) + shape, layer.kind
+
     def test_loss_total_is_component_sum(self):
         x, y = synthetic_batch()
         cfg = TrainConfig(S=2, master_seed=1)
@@ -174,13 +181,15 @@ class TestForwardPass:
 class TestStreams:
     def test_positions_restored_after_step(self):
         x, y = synthetic_batch()
-        cfg = TrainConfig(S=3, master_seed=2)
-        model = build_toyconv()
-        model.init_params(cfg)
-        trainer = Trainer(model, cfg)
-        for _ in range(3):
-            trainer.train_step(x[:4], y[:4])
-            assert all(s.position == 0 for s in trainer.streams)
+        for strategy in ("store", "shift"):
+            cfg = TrainConfig(S=3, master_seed=2, epsilon_strategy=strategy)
+            model = build_toyconv()
+            model.init_params(cfg)
+            trainer = Trainer(model, cfg)
+            for _ in range(3):
+                before = [s.lfsr for s in trainer.streams]
+                trainer.train_step(x[:4], y[:4])
+                assert [s.lfsr for s in trainer.streams] == before, strategy
 
     def test_ledger_counts_match_weights(self):
         x, y = synthetic_batch()
@@ -255,11 +264,20 @@ class TestTrainStep:
         assert hit > 0  # the clamp actually engaged at this rate
 
     def test_update_scale_divides_by_samples(self):
-        # doubling S with identical per-sample gradients would halve the
-        # per-sample contribution; with lr=0 vs lr>0 we instead just check
-        # the documented scale factor lr/S via a single known gradient
-        cfg = TrainConfig(S=4, lr=0.4, master_seed=0)
-        assert cfg.lr / cfg.S == pytest.approx(0.1)
+        # one step moves mu by -(lr/S) * dmu, dmu summed over the S samples
+        # by a twin trainer's own forward and backward passes
+        x, y = synthetic_batch()
+        cfg = TrainConfig(S=3, lr=0.4, master_seed=0, dtype=np.float64)
+        stepped, twin = build_toyconv(), build_toyconv()
+        stepped.init_params(cfg)
+        twin.init_params(cfg)
+        mu0 = {lid: l.mu.copy() for lid, l in stepped.bayes_layers()}
+        trainer = Trainer(twin, cfg)
+        accum = trainer.backward_pass(trainer.forward_pass(x[:4], y[:4])[0])
+        Trainer(stepped, cfg).train_step(x[:4], y[:4])
+        for lid, layer in stepped.bayes_layers():
+            assert np.any(accum.dmu[lid] != 0)
+            assert np.array_equal(layer.mu, mu0[lid] - (cfg.lr / cfg.S) * accum.dmu[lid])
 
 
 class TestBackwardStopsAtFirstLayer:
@@ -302,10 +320,9 @@ class TestBackwardStopsAtFirstLayer:
         assert np.array_equal(dw_only, dw)
 
 
-def _run_strategy(strategy, steps=5, cache=False):
+def _run_strategy(strategy, steps=5):
     x, y = synthetic_batch()
-    cfg = TrainConfig(S=3, lr=1e-2, master_seed=7, epsilon_strategy=strategy,
-                      cache_epsilons=cache)
+    cfg = TrainConfig(S=3, lr=1e-2, master_seed=7, epsilon_strategy=strategy)
     model = build_toyconv()
     model.init_params(cfg)
     trainer = Trainer(model, cfg)
@@ -322,13 +339,6 @@ class TestStrategyEquivalence:
             assert np.array_equal(mu_a, mu_b)
             assert np.array_equal(sig_a, sig_b)
 
-    def test_cache_is_transparent(self):
-        a = _run_strategy("shift")
-        b = _run_strategy("shift", cache=True)
-        for (mu_a, sig_a), (mu_b, sig_b) in zip(a, b):
-            assert np.array_equal(mu_a, mu_b)
-            assert np.array_equal(sig_a, sig_b)
-
 
 class TestTrainingQuality:
     def test_loss_decreases_on_subset(self):
@@ -339,8 +349,7 @@ class TestTrainingQuality:
         y = rng.integers(0, 10, 200)
         x = np.clip(templates[y] + rng.normal(0, 0.1, (200, 28, 28)), 0, 1)
         x = x.reshape(200, 784).astype(np.float32)
-        cfg = TrainConfig(S=4, lr=5e-3, master_seed=0, kl_scale=1e-3,
-                          cache_epsilons=True)
+        cfg = TrainConfig(S=4, lr=5e-3, master_seed=0, kl_scale=1e-3)
         model = build_bmlp()
         model.init_params(cfg)
         trainer = Trainer(model, cfg)
@@ -361,8 +370,7 @@ class TestTrainingQuality:
         y = digits.target
         x_train, y_train = x[:1500], y[:1500]
         x_val, y_val = x[1500:], y[1500:]
-        cfg = TrainConfig(S=4, lr=0.05, master_seed=1, kl_scale=1e-4,
-                          cache_epsilons=True)
+        cfg = TrainConfig(S=4, lr=0.05, master_seed=1, kl_scale=1e-4)
         model = Model([BayesFC(64, 64), train.ReLU(), BayesFC(64, 10)],
                       name="digits-mlp")
         model.init_params(cfg)
