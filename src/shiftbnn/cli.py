@@ -1,11 +1,15 @@
 """Command-line harness: train, verify-equivalence, cost-report, rng-selftest.
 
-Configuration precedence is flags > config file > defaults.  The config
+``SETTINGS`` gives each setting one parser, one default and the values it
+takes; ``COMMANDS`` lists the settings each command reads.  Each command's
+flags, the keys its config file may hold and ``resolve`` all derive from
+that table, so an unknown key or an out-of-range value exits 2 with an
+``error:`` line.  Precedence is flags > config file > defaults.  The config
 file is flat ``key = value`` text; keys use the same names as the long
-flags with dashes replaced by underscores.  Every command is
-deterministic given its flags: all randomness flows from --seed.  The
-checkpoint bytes of ``train`` also depend on the BLAS summation order,
-so they repeat only for a fixed ``OPENBLAS_NUM_THREADS``.
+flags with dashes replaced by underscores.  Every command is deterministic
+given its flags: all randomness flows from --seed.  The checkpoint bytes
+of ``train`` also depend on the BLAS summation order, so they repeat only
+for a fixed ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -15,34 +19,80 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import costmodel, data, grng, lfsr, nn, train
 
-DEFAULTS = {
-    "model": "b-mlp",
-    "dataset": "synthetic",
-    "samples": 8,
-    "strategy": "shift",
-    "grad_mode": "paper",
-    "epochs": 1,
-    "lr": 1e-3,
-    "seed": 0,
-    "batch": None,        # auto: 128 for idx datasets, 8 for synthetic
-    "kl_scale": None,     # auto: 1 / batches-per-epoch
-    "steps": 50,
-    "out": "checkpoint.sbnn",
-    "report": None,
-    "eps_double_read": False,
-    "samples_list": "8,16,32,64,128",
-    "models": "all",
-    "limit": None,
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _at_least(low, convert=int):
+    def parse(raw):
+        value = convert(raw)
+        if not value >= low:  # also rejects nan
+            raise ValueError(raw)
+        return value
+    return parse
+
+
+def _one_of(*choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(raw)
+        return raw
+    return parse
+
+
+def _switch(raw):
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes", "on")
+
+
+_count = _at_least(1)
+
+
+class Setting(NamedTuple):
+    parse: Callable[[str], object]
+    default: object  # None: the command picks (batch, kl_scale) or skips (limit, report)
+    takes: str  # what parse accepts, for --help and error lines
+
+
+SETTINGS = {
+    "model": Setting(str, "b-mlp", "a network name"),
+    "dataset": Setting(str, "synthetic", "synthetic[:key=value,...] or an IDX directory"),
+    "samples": Setting(_count, 8, "an integer >= 1"),
+    "strategy": Setting(_one_of("store", "shift"), "shift", "store or shift"),
+    "grad_mode": Setting(_one_of("paper", "exact"), "paper", "paper or exact"),
+    "epochs": Setting(_count, 1, "an integer >= 1"),
+    "lr": Setting(_at_least(0.0, float), 1e-3, "a number >= 0"),
+    "seed": Setting(_at_least(0), 0, "an integer >= 0"),
+    "batch": Setting(_count, None, "an integer >= 1"),  # 128 for IDX, 8 for synthetic
+    "kl_scale": Setting(_at_least(0.0, float), None, "a number >= 0"),  # 1 / batches
+    "limit": Setting(_count, None, "an integer >= 1"),
+    "steps": Setting(_count, 50, "an integer >= 1"),
+    "out": Setting(str, "checkpoint.sbnn", "a path"),
+    "report": Setting(str, None, "a path"),
+    "eps_double_read": Setting(_switch, False, "true or false"),
+    "samples_list": Setting(lambda raw: [_count(s) for s in raw.split(",")],
+                            (8, 16, 32, 64, 128), "comma-separated integers >= 1"),
+    "models": Setting(str, "all", "all or comma-separated network names"),
+}
+
+COMMANDS = {
+    "train": ("model", "dataset", "samples", "strategy", "grad_mode", "epochs",
+              "lr", "seed", "batch", "kl_scale", "limit", "out", "report"),
+    "verify-equivalence": ("model", "dataset", "samples", "grad_mode", "lr",
+                           "seed", "batch", "steps", "out"),
+    "cost-report": ("models", "samples_list", "eps_double_read", "report"),
+    "rng-selftest": ("seed",),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -60,30 +110,27 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _coerce(key: str, raw: str):
-    if key in ("samples", "epochs", "seed", "batch", "steps", "limit"):
-        return int(raw)
-    if key in ("lr", "kl_scale"):
-        return float(raw)
-    if key == "eps_double_read":
-        return raw.lower() in ("1", "true", "yes", "on")
-    return raw
+def _parse(key: str, raw: str):
+    setting = SETTINGS[key]
+    try:
+        return setting.parse(raw)
+    except ValueError:
+        raise ConfigError(f"{key.replace('_', '-')} must be {setting.takes}, "
+                          f"got {raw!r}") from None
 
 
 def resolve(args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over defaults."""
-    settings = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            if key not in settings:
-                raise ConfigError(f"unknown config key {key!r}")
-            settings[key] = _coerce(key, raw)
-    for key in settings:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if settings["samples"] < 1:
-        raise ConfigError(f"samples must be >= 1, got {settings['samples']}")
+    """The settings ``args.command`` reads: flags over config file over defaults."""
+    names = COMMANDS[args.command]
+    raw = parse_config_file(args.config) if args.config else {}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r} for {args.command} "
+                              f"(have {', '.join(names)})")
+    flags = vars(args)
+    raw.update((key, flags[key]) for key in names if flags[key] is not None)
+    settings = {key: SETTINGS[key].default for key in names}
+    settings.update((key, _parse(key, text)) for key, text in raw.items())
     return settings
 
 
@@ -160,22 +207,6 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------------------
 
 
-def make_train_config(settings: dict, num_batches: int) -> train.TrainConfig:
-    kl = settings["kl_scale"]
-    if kl is None:
-        kl = 1.0 / max(num_batches, 1)
-    return train.TrainConfig(
-        S=settings["samples"],
-        lr=settings["lr"],
-        batch=settings["batch"] or 1,
-        grad_mode=settings["grad_mode"],
-        epsilon_strategy=settings["strategy"],
-        master_seed=settings["seed"],
-        epochs=settings["epochs"],
-        kl_scale=kl,
-    )
-
-
 def run_train(settings: dict, log_stream=sys.stdout) -> int:
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x_train, y_train = resolve_dataset(settings["dataset"], "train", settings["seed"],
@@ -188,9 +219,18 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
     x_val = _shape_inputs(model, x_val)
 
     batch = settings["batch"] or (128 if os.path.isdir(settings["dataset"]) else 8)
-    settings = dict(settings, batch=batch)
-    num_batches = math.ceil(len(x_train) / batch)
-    cfg = make_train_config(settings, num_batches)
+    kl = settings["kl_scale"]
+    if kl is None:
+        kl = 1.0 / max(math.ceil(len(x_train) / batch), 1)
+    cfg = train.TrainConfig(
+        S=settings["samples"],
+        lr=settings["lr"],
+        batch=batch,
+        grad_mode=settings["grad_mode"],
+        epsilon_strategy=settings["strategy"],
+        master_seed=settings["seed"],
+        kl_scale=kl,
+    )
     model.init_params(cfg)
     trainer = train.Trainer(model, cfg)
 
@@ -204,7 +244,7 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
 
     step = 0
     try:
-        for epoch in range(1, cfg.epochs + 1):
+        for epoch in range(1, settings["epochs"] + 1):
             loss = None
             for lo in range(0, len(x_train), batch):
                 loss = trainer.train_step(x_train[lo:lo + batch],
@@ -292,8 +332,8 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     out_b = settings["out"] + ".shift"
     train.save_checkpoint(out_a, model_a)
     train.save_checkpoint(out_b, model_b)
-    bytes_a = open(out_a, "rb").read()
-    bytes_b = open(out_b, "rb").read()
+    bytes_a = Path(out_a).read_bytes()
+    bytes_b = Path(out_b).read_bytes()
 
     gen = _flatten_steps(tr_a.generated)
     ret = _flatten_steps(tr_b.retrieved)
@@ -324,23 +364,12 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     return 1
 
 
-def _samples_list(raw) -> list[int]:
-    try:
-        values = [int(s) for s in str(raw).split(",")]
-    except ValueError:
-        raise ConfigError(f"samples-list {raw!r} is not a comma-separated "
-                          f"list of integers") from None
-    if min(values) < 1:
-        raise ConfigError(f"samples-list {raw!r}: every S must be >= 1")
-    return values
-
-
 def run_cost_report(settings: dict) -> int:
     params = costmodel.CostParams(eps_double_read=settings["eps_double_read"])
     names = (list(costmodel.MODEL_PRESETS) if settings["models"] == "all"
              else settings["models"].split(","))
     specs = [_lookup(costmodel.MODEL_PRESETS, name, "model") for name in names]
-    s_values = _samples_list(settings["samples_list"])
+    s_values = settings["samples_list"]
     rows = []
     for name, spec in zip(names, specs):
         for S in s_values:
@@ -417,38 +446,22 @@ def run_rng_selftest(settings: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model")
-    p.add_argument("--config")
-    p.add_argument("--dataset")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--strategy", choices=("store", "shift"))
-    p.add_argument("--grad-mode", dest="grad_mode", choices=("paper", "exact"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--kl-scale", dest="kl_scale", type=float)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.add_argument("--eps-double-read", dest="eps_double_read",
-                   action="store_const", const=True)
-    p.add_argument("--samples-list", dest="samples_list")
-    p.add_argument("--models")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftbnn",
         description="Reversible-generator Bayesian network training harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "verify-equivalence", "cost-report", "rng-selftest"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "verify-equivalence":
+    for command, names in COMMANDS.items():
+        p = sub.add_parser(command, allow_abbrev=False)
+        p.add_argument("--config", help="flat 'key = value' file of these settings")
+        for key in names:
+            setting = SETTINGS[key]
+            switch = ({"action": "store_const", "const": "true"}
+                      if setting.parse is _switch else {})
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=setting.takes, **switch)
+        if command == "verify-equivalence":
             p.add_argument("--corrupt-second-pass", action="store_true",
                            help="negative control: alter the tap set between passes")
     return parser
@@ -458,25 +471,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = resolve(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "train":
             return run_train(settings)
         if args.command == "verify-equivalence":
             return run_verify_equivalence(
-                settings, corrupt_second_pass=getattr(args, "corrupt_second_pass", False))
+                settings, corrupt_second_pass=args.corrupt_second_pass)
         if args.command == "cost-report":
             return run_cost_report(settings)
-        if args.command == "rng-selftest":
-            return run_rng_selftest(settings)
-    except (data.BadMagic, data.TruncatedFile, data.CountMismatch,
-            FileNotFoundError, ConfigError, nn.ShapeMismatch) as exc:
+        return run_rng_selftest(settings)
+    except (ConfigError, OSError, UnicodeError, data.BadMagic, data.TruncatedFile,
+            data.CountMismatch, nn.ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
-
 
 if __name__ == "__main__":
     sys.exit(main())

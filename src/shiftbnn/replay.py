@@ -39,7 +39,6 @@ class SegmentRecord:
     kind: str  # "conv" | "fc"
     counts: int
     geometry: tuple[int, ...]  # (K, M, N) for conv, (out, in) for fc
-    traversal: str  # order tag, e.g. "m-n-rowmajor" / "out-in"
     # stream position before the segment's first draw, for the contiguity
     # check; no register state is kept, the backward pass recovers every
     # draw by reverse shifting
@@ -89,14 +88,6 @@ class GenerationLedger:
 
     def clear(self) -> None:
         self.segments.clear()
-
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for sample_id in sorted(self.segments):
-            for r in self.segments[sample_id]:
-                geom = "x".join(str(g) for g in r.geometry)
-                lines.append(f"{r.layer_id},{r.sample_id},{r.kind},{r.counts},{geom}")
-        return lines
 
 
 def canonical_forward_order(kind: str, geometry: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -68,7 +68,6 @@ class TrainConfig:
     grad_mode: str = "paper"  # "paper" (w / sigma_prior^2) | "exact"
     epsilon_strategy: str = "shift"  # "shift" | "store"
     master_seed: int = 0
-    epochs: int = 1
     kl_scale: float = 1.0  # weight of the prior+posterior terms per step
     sigma_min: float = SIGMA_MIN_DEFAULT
     # consecutive draws from one stream are strongly correlated (each shift
@@ -361,7 +360,6 @@ class Trainer:
             kind=layer.kind,
             counts=layer.weight_count,
             geometry=layer.geometry,
-            traversal="m-n-rowmajor" if layer.kind == "conv" else "out-in",
             start_position=start_position,
         ))
         if self.cfg.epsilon_strategy == "store":

@@ -175,8 +175,7 @@ def test_05_kernel_flip_retrieval():
     for k, m, n, hw, stride, pad in [(3, 4, 3, 8, 1, 0), (5, 2, 2, 9, 1, 2),
                                      (3, 3, 2, 7, 2, 1)]:
         ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "conv", k * k * m * n,
-                                            (k, m, n), "m-n-rowmajor"))
+        ledger.record_segment(SegmentRecord(0, 0, "conv", k * k * m * n, (k, m, n)))
         w = rng.standard_normal((m, n, k, k))
         drawn = np.array([w.reshape(m, n, k * k)[mi, ni, ki] for mi, ni, ki
                           in canonical_forward_order("conv", (k, m, n))])

@@ -52,6 +52,74 @@ class TestConfigResolution:
         assert run(["train", "--samples", "0"]) == 2
 
 
+class _Recording(dict):
+    """Settings mapping that notes every key a command reads."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "batch", "-1"),
+        ("train", "batch", "0"),
+        ("train", "limit", "0"),
+        ("train", "limit", "-3"),
+        ("train", "lr", "-1"),
+        ("train", "epochs", "0"),
+        ("train", "strategy", "log"),
+        ("verify-equivalence", "steps", "-2"),
+        ("verify-equivalence", "batch", "-4"),
+        ("rng-selftest", "seed", "-1"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
+                                  command, key, value):
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"{key} = {value}\n")
+        flag = key.replace("_", "-")
+        for argv in ([command, "--" + flag, value], [command, "--config", str(conf)]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert os.listdir(tmp_path) == ["c.conf"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "toy-conv", "--dataset", SYNTH, "--samples", "1"],
+        ["verify-equivalence", "--model", "toy-conv", "--dataset", SYNTH,
+         "--samples", "1", "--steps", "1"],
+        ["cost-report", "--models", "b-mlp", "--samples-list", "8"],
+        ["rng-selftest"],
+    ])
+    def test_every_accepted_setting_is_read(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        runner = {"train": cli.run_train,
+                  "verify-equivalence": cli.run_verify_equivalence,
+                  "cost-report": cli.run_cost_report,
+                  "rng-selftest": cli.run_rng_selftest}[argv[0]]
+        settings = _Recording(cli.resolve(cli.build_parser().parse_args(argv)))
+        assert set(settings) == set(cli.COMMANDS[argv[0]])
+        assert runner(settings) == 0
+        assert settings.read == set(cli.COMMANDS[argv[0]])
+
+    def test_settings_of_other_commands_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        for key in cli.SETTINGS:
+            conf.write_text(f"{key} = 1\n")
+            for command in [c for c, names in cli.COMMANDS.items() if key not in names]:
+                with pytest.raises(SystemExit) as exc:
+                    run([command, "--" + key.replace("_", "-"), "1"])
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+                args = cli.build_parser().parse_args([command, "--config", str(conf)])
+                with pytest.raises(cli.ConfigError):
+                    cli.resolve(args)
+
+
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path):
         out = tmp_path / "m.sbnn"

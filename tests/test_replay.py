@@ -20,17 +20,17 @@ from shiftbnn.replay import (
 def conv_record(layer_id=0, sample_id=0, k=3, m=2, n=2, start=0):
     return SegmentRecord(layer_id=layer_id, sample_id=sample_id, kind="conv",
                          counts=k * k * m * n, geometry=(k, m, n),
-                         traversal="m-n-rowmajor", start_position=start)
+                         start_position=start)
 
 
 class TestLedger:
     def test_counts_validated_against_geometry(self):
         with pytest.raises(NonContiguousSegment):
-            SegmentRecord(0, 0, "conv", 17, (3, 2, 2), "m-n-rowmajor")
+            SegmentRecord(0, 0, "conv", 17, (3, 2, 2))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            SegmentRecord(0, 0, "pool", 4, (2, 2), "x")
+            SegmentRecord(0, 0, "pool", 4, (2, 2))
 
     def test_contiguity_enforced(self):
         ledger = GenerationLedger()
@@ -53,11 +53,6 @@ class TestLedger:
         ledger.record_segment(conv_record(sample_id=1))
         assert len(ledger.sample_segments(0)) == 1
         assert len(ledger.sample_segments(1)) == 1
-
-    def test_dump_lines(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record())
-        assert ledger.dump_lines() == ["0,0,conv,36,3x2x2"]
 
 
 class TestSchedules:
@@ -88,13 +83,13 @@ class TestSchedules:
 
     def test_fc_reverse(self):
         ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3), "out-in"))
+        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3)))
         assert list(fc_reverse_schedule(ledger, 0)) == [
             (1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0)]
 
     def test_kind_mismatch(self):
         ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3), "out-in"))
+        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3)))
         with pytest.raises(LedgerMismatch):
             list(reverse_schedule(ledger, 0))
 
