@@ -28,14 +28,7 @@ from .grng import (
     read_epsilon_log,
     write_epsilon_log,
 )
-from .replay import (
-    GenerationLedger,
-    LedgerMismatch,
-    NonContiguousSegment,
-    SegmentRecord,
-    canonical_forward_order,
-    reverse_schedule,
-)
+from .replay import canonical_forward_order, reverse_schedule
 from .train import (
     Model,
     MODEL_BUILDERS,
@@ -62,8 +55,7 @@ __all__ = [
     "new_lfsr", "popcount_state", "shift_forward", "shift_reverse",
     "Epsilon", "GrngStream", "UnderflowBeforeSeed",
     "counts_to_eps", "grng_init", "read_epsilon_log", "write_epsilon_log",
-    "GenerationLedger", "LedgerMismatch", "NonContiguousSegment",
-    "SegmentRecord", "canonical_forward_order", "reverse_schedule",
+    "canonical_forward_order", "reverse_schedule",
     "Model", "MODEL_BUILDERS", "TrainConfig", "Trainer",
     "load_checkpoint", "save_checkpoint",
     "CostParams", "MODEL_PRESETS", "ModelSpec", "TrafficReport",

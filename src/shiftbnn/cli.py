@@ -152,6 +152,16 @@ def _find_idx(directory: str, stem: str) -> str:
     raise FileNotFoundError(f"no {stem}[.gz] under {directory}")
 
 
+# synthetic dataset option -> (parser, what it accepts)
+_SYNTHETIC_OPTIONS = {
+    "seed": (_at_least(0), "an integer >= 0"),
+    "count": (_count, "an integer >= 1"),
+    "dims": (lambda raw: tuple(_count(d) for d in raw.split("x")),
+             "integers >= 1 joined by 'x'"),
+    "classes": (_count, "an integer >= 1"),
+}
+
+
 def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
     """(examples, labels) for 'synthetic[:k=v,...]' or an IDX directory.
 
@@ -162,12 +172,14 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
         if ":" in spec:
             for item in spec.split(":", 1)[1].split(","):
                 key, _, raw = item.partition("=")
-                if key == "dims":
-                    opts["dims"] = tuple(int(d) for d in raw.split("x"))
-                elif key in opts:
-                    opts[key] = int(raw)
-                else:
+                if key not in _SYNTHETIC_OPTIONS:
                     raise ConfigError(f"unknown synthetic option {key!r}")
+                parse, takes = _SYNTHETIC_OPTIONS[key]
+                try:
+                    opts[key] = parse(raw)
+                except ValueError:
+                    raise ConfigError(f"dataset must be synthetic with {key} {takes}, "
+                                      f"got {raw!r}") from None
         # one doubled draw sliced in half keeps the class templates shared
         # between the splits while the examples stay disjoint
         images, labels = data.synthetic_dataset(opts["seed"], opts["count"] * 2,
@@ -292,8 +304,8 @@ class _RecordingTrainer(train.Trainer):
         self._gen_step[(sample_id, layer_id)] = np.asarray(counts)
         return counts
 
-    def _retrieve_counts(self, sample_id, layer_id):
-        counts = super()._retrieve_counts(sample_id, layer_id)
+    def _retrieve_counts(self, sample_id, layer_id, layer):
+        counts = super()._retrieve_counts(sample_id, layer_id, layer)
         self._ret_step[(sample_id, layer_id)] = np.asarray(counts)
         return counts
 

@@ -34,7 +34,8 @@ from .lfsr import (
 
 
 class UnderflowBeforeSeed(RuntimeError):
-    """More retrievals than generations since init; ledger accounting bug."""
+    """More retrievals than generations since init: a caller shifted back
+    further than it drew."""
 
 
 @dataclass(frozen=True)

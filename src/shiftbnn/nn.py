@@ -151,32 +151,30 @@ def relu_bwd(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return e * (x > 0)
 
 
-def maxpool_fwd(x: np.ndarray, k: int = 2, stride: int | None = None):
-    """Max pool [(B,)N,H,W]; returns (output, argmax index array for bwd)."""
-    stride = stride or k
+def maxpool_fwd(x: np.ndarray, k: int = 2):
+    """k x k max pool with stride k over [(B,)N,H,W]; returns (output,
+    argmax index array for bwd)."""
     H, W = x.shape[-2:]
-    R = out_extent(H, k, stride, 0)
-    C = out_extent(W, k, stride, 0)
+    R = out_extent(H, k, k, 0)
+    C = out_extent(W, k, k, 0)
     windows = np.empty(x.shape[:-2] + (R, C, k * k), dtype=x.dtype)
     for kr in range(k):
         for kc in range(k):
-            windows[..., kr * k + kc] = x[..., kr : kr + R * stride : stride,
-                                          kc : kc + C * stride : stride]
+            windows[..., kr * k + kc] = x[..., kr : kr + R * k : k, kc : kc + C * k : k]
     arg = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
     return out, arg
 
 
 def maxpool_bwd(e: np.ndarray, arg: np.ndarray, in_hw: tuple[int, int],
-                k: int = 2, stride: int | None = None) -> np.ndarray:
-    stride = stride or k
+                k: int = 2) -> np.ndarray:
     H, W = in_hw
     R, C = e.shape[-2:]
     dx = np.zeros(e.shape[:-2] + (H, W), dtype=e.dtype)
     for kr in range(k):
         for kc in range(k):
             mask = arg == kr * k + kc
-            dx[..., kr : kr + R * stride : stride, kc : kc + C * stride : stride] += e * mask
+            dx[..., kr : kr + R * k : k, kc : kc + C * k : k] += e * mask
     return dx
 
 

@@ -1,13 +1,13 @@
-"""Generation-order bookkeeping and reverse scheduling for noise retrieval.
+"""Draw order and reverse schedules for noise retrieval.
 
 The forward pass draws one Gaussian variable per weight in a frozen
 canonical order (conv: output channel m outer, input channel n, then
-row-major kernel slot; fc: out-major, in-minor).  The ledger records one
-segment per (layer, sample) so the backward pass can retrieve exactly the
-same draws in reverse, mapping each retrieved position to its
-180-degree-flipped kernel slot.  A segment holds only counts and
-geometry: the draws themselves come back by shifting the stream in
-reverse (``GrngStream.retrieve_block``), so nothing about them is stored.
+row-major kernel slot; fc: out-major, in-minor).  The backward pass gets
+the same draws back in reverse by shifting the stream backwards
+(``GrngStream.retrieve_block``).  A layer's geometry alone says how many
+draws that is and which weight each retrieved position belongs to, so
+nothing about the draws is stored; the conv schedule maps each retrieved
+position to its 180-degree-flipped kernel slot.
 
 Because the backward traversal reorganizes kernels across the channel
 dimensions, contributions to one input-channel error map arrive in
@@ -22,6 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+
+# The generation ledger below is no longer used by the trainer: a layer's
+# geometry is its draw schedule.  It stays, unchanged, because the
+# benchmark's tracer (perfbench/tracer.py) wraps record_segment,
+# layer_segment and clear by name.
 
 
 class NonContiguousSegment(ValueError):
@@ -112,46 +117,31 @@ def canonical_forward_order(kind: str, geometry: tuple[int, ...]) -> Iterator[tu
         raise ValueError(f"unknown kind {kind!r}")
 
 
-def reverse_schedule(ledger: GenerationLedger, layer_id: int,
-                     sample_id: int = 0) -> Iterator[tuple[int, int, int]]:
-    """Retrieval slots for a conv layer, in exact reverse draw order.
+def reverse_schedule(geometry: tuple[int, int, int]) -> Iterator[tuple[int, int, int]]:
+    """Retrieval slots for a conv layer of geometry (K, M, N), in exact
+    reverse draw order.
 
     Yields (m, n, flipped_k) where flipped_k = K^2 - 1 - k is the
     180-degree-rotated kernel slot: consuming the retrieved values in
     arrival order writes the rotated kernel directly.
     """
-    rec = ledger.layer_segment(layer_id, sample_id)
-    if rec.kind != "conv":
-        raise LedgerMismatch(f"layer {layer_id} is {rec.kind}, expected conv")
-    k, m, n = rec.geometry
-    kk = k * k
-    produced = 0
+    k, m, n = geometry
     for mi in range(m - 1, -1, -1):
         for ni in range(n - 1, -1, -1):
-            for ki in range(kk - 1, -1, -1):
-                yield (mi, ni, kk - 1 - ki)
-                produced += 1
-    if produced != rec.counts:
-        raise LedgerMismatch(f"retrieved {produced}, recorded {rec.counts}")
+            for fki in range(k * k):
+                yield (mi, ni, fki)
 
 
-def fc_reverse_schedule(ledger: GenerationLedger, layer_id: int,
-                        sample_id: int = 0) -> Iterator[tuple[int, int]]:
-    """Retrieval slots for an fc layer: reversed traversal, no flipping."""
-    rec = ledger.layer_segment(layer_id, sample_id)
-    if rec.kind != "fc":
-        raise LedgerMismatch(f"layer {layer_id} is {rec.kind}, expected fc")
-    out, in_ = rec.geometry
-    produced = 0
+def fc_reverse_schedule(geometry: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """Retrieval slots for an fc layer of geometry (out, in): reversed
+    traversal, no flipping."""
+    out, in_ = geometry
     for oi in range(out - 1, -1, -1):
         for ii in range(in_ - 1, -1, -1):
             yield (oi, ii)
-            produced += 1
-    if produced != rec.counts:
-        raise LedgerMismatch(f"retrieved {produced}, recorded {rec.counts}")
 
 
-def assemble_reverse_conv(ledger: GenerationLedger, layer_id: int, sample_id: int,
+def assemble_reverse_conv(geometry: tuple[int, int, int],
                           retrieved: np.ndarray) -> np.ndarray:
     """Scatter retrieved values (reverse order) into a [M,N,K,K] array.
 
@@ -160,18 +150,18 @@ def assemble_reverse_conv(ledger: GenerationLedger, layer_id: int, sample_id: in
     instead un-flips so the result equals the forward-sampled kernels,
     which is the handy form for reconstruction checks.
     """
-    rec = ledger.layer_segment(layer_id, sample_id)
-    k, m, n = rec.geometry
-    if len(retrieved) != rec.counts:
-        raise LedgerMismatch(f"got {len(retrieved)} values, recorded {rec.counts}")
+    k, m, n = geometry
+    if len(retrieved) != k * k * m * n:
+        raise ValueError(f"got {len(retrieved)} values, geometry {geometry} "
+                         f"draws {k * k * m * n}")
     out = np.empty((m, n, k, k), dtype=np.asarray(retrieved).dtype)
     flat = out.reshape(m, n, k * k)
-    for value, (mi, ni, fki) in zip(retrieved, reverse_schedule(ledger, layer_id, sample_id)):
+    for value, (mi, ni, fki) in zip(retrieved, reverse_schedule(geometry)):
         flat[mi, ni, k * k - 1 - fki] = value
     return out
 
 
-def replay_conv_backward_data(ledger: GenerationLedger, layer_id: int, sample_id: int,
+def replay_conv_backward_data(geometry: tuple[int, int, int],
                               retrieved_weights: np.ndarray, errors: np.ndarray,
                               in_hw: tuple[int, int], stride: int = 1,
                               pad: int = 0) -> np.ndarray:
@@ -184,13 +174,11 @@ def replay_conv_backward_data(ledger: GenerationLedger, layer_id: int, sample_id
     (intermittent accumulation).  Must equal nn.conv_backward_data on the
     materialized forward kernels.
     """
-    rec = ledger.layer_segment(layer_id, sample_id)
-    k, _, n_ch = rec.geometry
+    k, _, n_ch = geometry
     h, w = in_hw
     r, c = errors.shape[-2:]
     acc = np.zeros((n_ch, h + 2 * pad, w + 2 * pad), dtype=errors.dtype)
-    for value, (mi, ni, fki) in zip(retrieved_weights,
-                                    reverse_schedule(ledger, layer_id, sample_id)):
+    for value, (mi, ni, fki) in zip(retrieved_weights, reverse_schedule(geometry)):
         # flipped slot fki corresponds to forward slot k^2-1-fki
         ki = k * k - 1 - fki
         kr, kc = divmod(ki, k)

@@ -10,8 +10,9 @@ reversible LFSR streams and is handled by one of two strategies:
 * SHIFT: nothing is logged; the backward pass retrieves the exact same
   values by shifting the generator streams in reverse (the reverse
   recurrence of ``lfsr.extend_backward``, from each stream's current
-  register alone), restoring every stream to its pre-step state.  The
-  ledger holds only draw counts and geometry.
+  register alone), restoring every stream to its pre-step state.  Each
+  layer's ``weight_count`` says how many draws to shift back; nothing
+  about the draws is kept.
 
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
@@ -53,7 +54,6 @@ import numpy as np
 from . import nn
 from .grng import GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
-from .replay import GenerationLedger, SegmentRecord
 
 SIGMA_MIN_DEFAULT = 1e-6
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
@@ -293,7 +293,7 @@ class Model:
 
     def bayes_layers(self):
         """(layer_id, layer) for every parameterized layer; the id is the
-        position in the layer list so ledger segments line up."""
+        position in the layer list, which keys the per-layer arrays."""
         return [(i, l) for i, l in enumerate(self.layers) if l.kind in BAYES_KINDS]
 
     def init_params(self, cfg: TrainConfig):
@@ -340,7 +340,6 @@ class Trainer:
         self.streams: list[GrngStream] = [
             grng_init(cfg.master_seed, i, self.taps) for i in range(cfg.S)
         ]
-        self.ledger = GenerationLedger()
         # eps of every possible count, standardized in float64 once and then
         # rounded to the working dtype: the same bits as per-draw conversion
         self._eps_table = counts_to_eps(np.arange(self.n + 1), self.n).astype(cfg.dtype)
@@ -351,28 +350,17 @@ class Trainer:
         return np.take(self._eps_table, counts).reshape(shape)
 
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        stream = self.streams[sample_id]
-        start_position = stream.position
-        counts = stream.generate_block(layer.weight_count)
-        self.ledger.record_segment(SegmentRecord(
-            layer_id=layer_id,
-            sample_id=sample_id,
-            kind=layer.kind,
-            counts=layer.weight_count,
-            geometry=layer.geometry,
-            start_position=start_position,
-        ))
+        counts = self.streams[sample_id].generate_block(layer.weight_count)
         if self.cfg.epsilon_strategy == "store":
             self._step_log[(sample_id, layer_id)] = counts
         return counts
 
-    def _retrieve_counts(self, sample_id: int, layer_id: int) -> np.ndarray:
+    def _retrieve_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         """Counts in forward order, recovered per the configured strategy."""
         if self.cfg.epsilon_strategy == "store":
             return self._step_log[(sample_id, layer_id)]
-        rec = self.ledger.layer_segment(layer_id, sample_id)
         # reverse retrieval order -> forward order
-        return self.streams[sample_id].retrieve_block(rec.counts)[::-1]
+        return self.streams[sample_id].retrieve_block(layer.weight_count)[::-1]
 
     def forward_pass(self, x, y):
         """Returns (per-sample caches, per-sample LossBreakdown list).
@@ -381,7 +369,6 @@ class Trainer:
         epsilons are not (SHIFT) or go to the step log (STORE).
         """
         cfg = self.cfg
-        self.ledger.clear()
         self._step_log = {}
         self._prestep_states = [s.lfsr for s in self.streams]
         # sigma is fixed within a step, so the sample-independent terms of
@@ -410,11 +397,11 @@ class Trainer:
                     w += layer.mu
                     p_s += post_const[lid] - 0.5 * eps_square_sum(counts, self.n)
                     p_r += prior_const[lid] + square_sum(w) / (2 * cfg.sigma_prior ** 2)
-                    layer_cache.append(("bayes", a))
+                    layer_cache.append(a)
                     a = layer.forward(a, w)
                 else:
                     a, aux = layer.forward(a)
-                    layer_cache.append(("aux", aux))
+                    layer_cache.append(aux)
             nll, dlogits = nn.softmax_xent(a, y)
             losses.append(LossBreakdown(
                 likelihood_nll=nll,
@@ -443,9 +430,9 @@ class Trainer:
             layer_cache, e = caches[i]
             for lid in range(len(self.model.layers) - 1, first - 1, -1):
                 layer = self.model.layers[lid]
-                tag, payload = layer_cache[lid]
+                payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
-                    counts = self._retrieve_counts(i, lid)
+                    counts = self._retrieve_counts(i, lid, layer)
                     eps = self._eps_from_counts(counts, layer.mu.shape)
                     w = eps * layer.sigma
                     w += layer.mu

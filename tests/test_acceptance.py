@@ -33,8 +33,6 @@ from shiftbnn.lfsr import (
     state_to_window,
 )
 from shiftbnn.replay import (
-    GenerationLedger,
-    SegmentRecord,
     assemble_reverse_conv,
     canonical_forward_order,
     replay_conv_backward_data,
@@ -174,20 +172,18 @@ def test_05_kernel_flip_retrieval():
     rng = np.random.default_rng(5)
     for k, m, n, hw, stride, pad in [(3, 4, 3, 8, 1, 0), (5, 2, 2, 9, 1, 2),
                                      (3, 3, 2, 7, 2, 1)]:
-        ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "conv", k * k * m * n, (k, m, n)))
         w = rng.standard_normal((m, n, k, k))
         drawn = np.array([w.reshape(m, n, k * k)[mi, ni, ki] for mi, ni, ki
                           in canonical_forward_order("conv", (k, m, n))])
         retrieved = drawn[::-1]
 
-        assembled = assemble_reverse_conv(ledger, 0, 0, retrieved)
+        assembled = assemble_reverse_conv((k, m, n), retrieved)
         assert np.array_equal(assembled, w)
         assert np.array_equal(assembled[:, :, ::-1, ::-1], w[:, :, ::-1, ::-1])
 
         x = rng.standard_normal((n, hw, hw))
         e = rng.standard_normal(nn.conv_forward(x, w, stride, pad).shape)
-        replayed = replay_conv_backward_data(ledger, 0, 0, retrieved, e,
+        replayed = replay_conv_backward_data((k, m, n), retrieved, e,
                                              (hw, hw), stride, pad)
         direct = nn.conv_backward_data(e, w, (hw, hw), stride, pad)
         # the two accumulate partial sums in different orders, so agree

@@ -76,6 +76,12 @@ class TestSettingsTable:
         ("verify-equivalence", "steps", "-2"),
         ("verify-equivalence", "batch", "-4"),
         ("rng-selftest", "seed", "-1"),
+        ("train", "dataset", "synthetic:count=0"),
+        ("train", "dataset", "synthetic:count=-4"),
+        ("train", "dataset", "synthetic:count=x"),
+        ("train", "dataset", "synthetic:classes=0"),
+        ("train", "dataset", "synthetic:seed=-1"),
+        ("train", "dataset", "synthetic:dims=1x10x"),
     ])
     def test_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
                                   command, key, value):

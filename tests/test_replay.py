@@ -1,9 +1,10 @@
-"""Ledger bookkeeping, reverse schedules and kernel-flip reconstruction."""
+"""Reverse schedules, kernel-flip reconstruction and the (unused) ledger."""
 
 import numpy as np
 import pytest
 
 from shiftbnn import nn
+from shiftbnn.train import TrainConfig, build_toyconv
 from shiftbnn.replay import (
     GenerationLedger,
     LedgerMismatch,
@@ -68,38 +69,43 @@ class TestSchedules:
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
     def test_reverse_schedule_flips_slots(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record(k=3, m=1, n=1))
-        slots = list(reverse_schedule(ledger, 0))
+        slots = list(reverse_schedule((3, 1, 1)))
         # reverse of draw order k=8..0, reported as flipped slot 8-k
         assert [s[2] for s in slots] == list(range(9))
 
     def test_reverse_is_reversed_forward(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record(k=2, m=3, n=2))
         fwd = list(canonical_forward_order("conv", (2, 3, 2)))
-        rev = list(reverse_schedule(ledger, 0))
+        rev = list(reverse_schedule((2, 3, 2)))
         assert [(m, n, 3 - fk) for m, n, fk in rev] == fwd[::-1]
 
     def test_fc_reverse(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3)))
-        assert list(fc_reverse_schedule(ledger, 0)) == [
+        assert list(fc_reverse_schedule((2, 3))) == [
             (1, 2), (1, 1), (1, 0), (0, 2), (0, 1), (0, 0)]
 
+    def test_trainer_layers_draw_in_canonical_order(self):
+        # a layer's block of counts is reshaped to mu's shape in C order
+        model = build_toyconv()
+        model.init_params(TrainConfig())
+        for _, layer in model.bayes_layers():
+            order = list(canonical_forward_order(layer.kind, layer.geometry))
+            if layer.kind == "conv":
+                order = [(m, n) + divmod(ki, layer.K) for m, n, ki in order]
+                schedule = reverse_schedule
+            else:
+                schedule = fc_reverse_schedule
+            assert order == list(np.ndindex(layer.mu.shape))
+            assert len(list(schedule(layer.geometry))) == layer.weight_count
+
     def test_kind_mismatch(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(SegmentRecord(0, 0, "fc", 6, (2, 3)))
-        with pytest.raises(LedgerMismatch):
-            list(reverse_schedule(ledger, 0))
+        # an fc geometry has no kernel extent for the conv schedule
+        with pytest.raises(ValueError):
+            list(reverse_schedule((2, 3)))
 
 
 class TestKernelFlip:
     def test_assembled_kernel_is_rot180_of_arrival_order(self):
         rng = np.random.default_rng(0)
         k, m, n = 3, 2, 2
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record(k=k, m=m, n=n))
         forward = rng.standard_normal((m, n, k, k))
         flat = forward.reshape(m, n, k * k)
         drawn = np.array([flat[mi, ni, ki]
@@ -109,30 +115,26 @@ class TestKernelFlip:
         # produces the rotated kernels
         rotated = np.empty_like(forward)
         rflat = rotated.reshape(m, n, k * k)
-        for value, (mi, ni, fki) in zip(retrieved, reverse_schedule(ledger, 0)):
+        for value, (mi, ni, fki) in zip(retrieved, reverse_schedule((k, m, n))):
             rflat[mi, ni, fki] = value
         assert np.array_equal(rotated, forward[:, :, ::-1, ::-1])
         # the helper un-flips back to the forward kernels
-        assert np.array_equal(assemble_reverse_conv(ledger, 0, 0, retrieved), forward)
+        assert np.array_equal(assemble_reverse_conv((k, m, n), retrieved), forward)
 
     @pytest.mark.parametrize("stride,pad,hw", [(1, 0, 8), (1, 1, 8), (2, 1, 7)])
     def test_replay_backward_data_matches_direct(self, stride, pad, hw):
         rng = np.random.default_rng(1)
         k, m, n = 3, 4, 3
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record(k=k, m=m, n=n))
         w = rng.standard_normal((m, n, k, k))
         x = rng.standard_normal((n, hw, hw))
         e = rng.standard_normal(nn.conv_forward(x, w, stride, pad).shape)
         drawn = np.array([w.reshape(m, n, k * k)[mi, ni, ki]
                           for mi, ni, ki in canonical_forward_order("conv", (k, m, n))])
-        replayed = replay_conv_backward_data(ledger, 0, 0, drawn[::-1], e,
+        replayed = replay_conv_backward_data((k, m, n), drawn[::-1], e,
                                              (hw, hw), stride, pad)
         direct = nn.conv_backward_data(e, w, (hw, hw), stride, pad)
         assert np.allclose(replayed, direct, atol=1e-12)
 
     def test_length_mismatch_detected(self):
-        ledger = GenerationLedger()
-        ledger.record_segment(conv_record())
-        with pytest.raises(LedgerMismatch):
-            assemble_reverse_conv(ledger, 0, 0, np.zeros(5))
+        with pytest.raises(ValueError):
+            assemble_reverse_conv((3, 2, 2), np.zeros(5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftbnn import nn, train
+from shiftbnn.cli import _RecordingTrainer
 from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
@@ -191,7 +192,7 @@ class TestStreams:
                 trainer.train_step(x[:4], y[:4])
                 assert [s.lfsr for s in trainer.streams] == before, strategy
 
-    def test_ledger_counts_match_weights(self):
+    def test_forward_pass_draws_every_weight_once(self):
         x, y = synthetic_batch()
         cfg = TrainConfig(S=2, master_seed=2)
         model = build_toyconv()
@@ -199,11 +200,22 @@ class TestStreams:
         trainer = Trainer(model, cfg)
         trainer.forward_pass(x[:4], y[:4])
         per_sample = sum(l.weight_count for _, l in model.bayes_layers())
-        for i in range(2):
-            assert trainer.ledger.total(i) == per_sample
-            for rec in trainer.ledger.sample_segments(i):
-                layer = model.layers[rec.layer_id]
-                assert rec.counts == layer.weight_count
+        assert [s.position for s in trainer.streams] == [per_sample] * 2
+
+    def test_each_layer_retrieves_what_it_drew(self):
+        x, y = synthetic_batch()
+        for strategy in ("store", "shift"):
+            cfg = TrainConfig(S=2, master_seed=2, epsilon_strategy=strategy)
+            model = build_toyconv()
+            model.init_params(cfg)
+            trainer = _RecordingTrainer(model, cfg)
+            trainer.train_step(x[:4], y[:4])
+            (generated,), (retrieved,) = trainer.generated, trainer.retrieved
+            keys = [(i, lid) for i in range(2) for lid, _ in model.bayes_layers()]
+            assert sorted(generated) == sorted(retrieved) == keys
+            for i, lid in keys:
+                assert generated[(i, lid)].size == model.layers[lid].weight_count
+                assert np.array_equal(generated[(i, lid)], retrieved[(i, lid)]), strategy
 
 
 class TestTrainStep:
