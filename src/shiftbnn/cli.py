@@ -167,10 +167,11 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
 
     ``dims`` is the synthetic example shape unless the spec sets ``dims=``.
     """
-    if spec.startswith("synthetic"):
+    name, colon, options = spec.partition(":")
+    if name == "synthetic":
         opts = {"seed": seed, "count": 512, "dims": dims, "classes": 4}
-        if ":" in spec:
-            for item in spec.split(":", 1)[1].split(","):
+        if colon:
+            for item in options.split(","):
                 key, _, raw = item.partition("=")
                 if key not in _SYNTHETIC_OPTIONS:
                     raise ConfigError(f"unknown synthetic option {key!r}")

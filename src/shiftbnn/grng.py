@@ -14,6 +14,7 @@ draw re-counts the register; a block counts only its first window
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from .lfsr import (
     LfsrState,
     TapSet,
+    backward_span,
     extend_backward,
     extend_forward,
     new_lfsr,
@@ -46,23 +48,72 @@ class Epsilon:
     count: int
 
 
-def counts_to_eps(counts: np.ndarray, n: int) -> np.ndarray:
-    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4)."""
-    return (np.asarray(counts, dtype=np.float64) - n / 2.0) / np.sqrt(n / 4.0)
+def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4), in float64.
+
+    With ``out`` (a float array of the counts' shape) the float64 values
+    are rounded once to out's dtype and written there without a float64
+    temporary: count - n/2 is exact in any float dtype, and the quotient
+    is taken in float64, or in out's dtype when sqrt(n/4) is a power of
+    two (n = 16, 64, 256, ...) and the division is exact there too.
+    """
+    scale = np.sqrt(n / 4.0)
+    if out is None:
+        return (np.asarray(counts, dtype=np.float64) - n / 2.0) / scale
+    np.subtract(counts, n / 2.0, out=out, dtype=out.dtype)
+    exact = math.frexp(scale)[0] == 0.5
+    np.divide(out, scale, out=out, dtype=out.dtype if exact else np.float64,
+              casting="same_kind")
+    return out
 
 
-def _window_counts(full: np.ndarray, n: int, k: int) -> np.ndarray:
-    """1s counts of the k windows full[i+1 : i+1+n], i < k, as uint16.
+def _window_counts(full: np.ndarray, n: int, k: int, steps: np.ndarray) -> np.ndarray:
+    """1s counts of the k windows full[i+1 : i+1+n], i < k, as a new uint16 array.
 
     Each shift changes the count by full[n+i] - full[i]; the cumulative
-    sum of those changes stays within +-n.  It runs in int32: numpy
-    accumulates int32 several times faster than int16.
+    sum of those changes stays within +-n.  It runs in the int32 buffer
+    ``steps`` (k long): numpy accumulates int32 several times faster
+    than int16.
     """
-    steps = full[n : n + k].astype(np.int32)
+    np.copyto(steps, full[n : n + k])
     steps -= full[:k]
     np.cumsum(steps, out=steps)
     steps += int(full[:n].sum())
     return steps.astype(np.uint16)
+
+
+class BlockScratch:
+    """Work buffers that ``generate_block`` and ``retrieve_block`` reuse:
+    one block's stream bits plus its look-ahead window, and its int32
+    count steps.
+
+    Streams that draw one at a time can share one set.  Each buffer grows
+    to the largest request and is never handed out: the count arrays the
+    blocks return are always new.
+    """
+
+    def __init__(self):
+        self._bits = np.empty(0, np.uint8)
+        self._steps = np.empty(0, np.int32)
+
+    def reserve(self, k: int, taps: TapSet) -> None:
+        """Grow the buffers to serve k-draw blocks in both directions."""
+        self.bits(backward_span(k, taps))  # >= n + k, the forward need
+        self.steps(k)
+
+    def bits(self, size: int) -> np.ndarray:
+        if self._bits.size < size:
+            self._bits = np.empty(size, np.uint8)
+        return self._bits[:size]
+
+    def steps(self, size: int) -> np.ndarray:
+        if self._steps.size < size:
+            self._steps = np.empty(size, np.int32)
+        return self._steps[:size]
+
+    @property
+    def nbytes(self) -> int:
+        return self._bits.nbytes + self._steps.nbytes
 
 
 _MASK64 = (1 << 64) - 1
@@ -100,10 +151,13 @@ class GrngStream:
     ensemble samples run independently.
     """
 
-    def __init__(self, lfsr: LfsrState):
+    def __init__(self, lfsr: LfsrState, scratch: BlockScratch | None = None):
         self.lfsr = lfsr
         self.n = lfsr.taps.width
         self.running_sum = popcount_state(lfsr)
+        # shared work buffers of the block API; without them every block
+        # allocates its own
+        self.scratch = scratch
 
     # -- single-draw API ----------------------------------------------------
 
@@ -136,16 +190,21 @@ class GrngStream:
 
     # -- block API (bit-identical to repeated single draws) ------------------
 
+    def _scratch(self) -> BlockScratch:
+        return self.scratch if self.scratch is not None else BlockScratch()
+
     def generate_block(self, k: int) -> np.ndarray:
-        """k forward draws at once; returns the raw counts as uint16."""
+        """k forward draws at once; returns the raw counts as a new uint16 array."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if k == 0:
             return np.zeros(0, dtype=np.uint16)
+        scratch = self._scratch()
         window = state_to_window(self.lfsr)
-        ext = extend_forward(window, k, self.lfsr.taps)
-        full = np.concatenate([window, ext])
-        counts = _window_counts(full, self.n, k)
+        # full holds the window and then the k new bits, in stream order
+        full = scratch.bits(self.n + k)
+        extend_forward(window, k, self.lfsr.taps, out=full)
+        counts = _window_counts(full, self.n, k, scratch.steps(k))
         self.lfsr = window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k)
         self.running_sum = int(counts[-1])
         return counts
@@ -155,8 +214,8 @@ class GrngStream:
 
         Runs the reverse recurrence (``extend_backward``) from the current
         register alone and leaves the stream k positions earlier.  The
-        result is a reversed view of a forward-order array, so ``[::-1]``
-        of it is contiguous and costs no copy.
+        result is a reversed view of a new forward-order array, so
+        ``[::-1]`` of it is contiguous and costs no copy.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -166,17 +225,21 @@ class GrngStream:
             raise UnderflowBeforeSeed(
                 f"retrieve {k} draws at position {self.lfsr.position}"
             )
+        scratch = self._scratch()
         window = state_to_window(self.lfsr)
-        older = extend_backward(window, k, self.lfsr.taps)
-        full = np.concatenate([older, window])
-        counts = _window_counts(full, self.n, k)
+        buf = scratch.bits(backward_span(k, self.lfsr.taps))
+        extend_backward(window, k, self.lfsr.taps, out=buf)
+        # the k older bits, then the window, in stream order
+        full = buf[: k + self.n]
+        counts = _window_counts(full, self.n, k, scratch.steps(k))
         self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
         return counts[::-1]
 
 
-def grng_init(master_seed: int, stream_id: int, taps: TapSet) -> GrngStream:
+def grng_init(master_seed: int, stream_id: int, taps: TapSet,
+              scratch: BlockScratch | None = None) -> GrngStream:
     seed = derive_seed(master_seed, stream_id, taps.width)
-    return GrngStream(new_lfsr(taps.width, taps, seed))
+    return GrngStream(new_lfsr(taps.width, taps, seed), scratch)
 
 
 # ---------------------------------------------------------------------------

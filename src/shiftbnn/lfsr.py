@@ -11,7 +11,8 @@ States are value objects: every shift returns a new ``LfsrState``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,9 +152,11 @@ def popcount_state(state: LfsrState) -> int:
 # the known prefix instead of a fixed min(taps) bits.
 # ---------------------------------------------------------------------------
 
-# extend_backward's look-ahead window may reach this many bits even for a
-# shorter block; capping it at k instead leaves small blocks near 2-bit passes
-_REVERSE_WINDOW_FLOOR = 1 << 16
+# extend_backward's cost model: one _fill pass costs as much as writing this
+# many window bits.  Fitted on a 2-core x86 host (numpy 2.4) to extend_backward
+# at every scale for the b-mlp and b-lenet segment sizes: 3.3 us per pass,
+# 0.059 ns per bit.
+_BITS_PER_PASS = 56_000
 
 
 def state_to_window(state: LfsrState) -> np.ndarray:
@@ -176,7 +179,7 @@ def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
     bit the scaled recurrence reads lies in the buffer, and writes the next
     min(taps) * 2^e bits, which read only known bits.  The scale doubles
     every ceil(n / min(taps)) passes, so k bits take about that many times
-    log2(k / n) passes.
+    log2(k / n) passes (``_fill_passes`` counts them exactly).
     """
     n, total = taps.width, buf.shape[-1]
     while known < total:
@@ -190,6 +193,19 @@ def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
         known += blk
 
 
+def _fill_passes(known: int, total: int, taps: TapSet) -> int:
+    """Number of passes ``_fill`` makes from ``known`` to ``total`` bits,
+    one step per scale instead of one per pass."""
+    n, passes = taps.width, 0
+    while known < total:
+        e = (known // n).bit_length() - 1
+        step = taps.taps[0] << e
+        todo = -(-(min(total, n << (e + 1)) - known) // step)
+        passes += todo
+        known = min(total, known + todo * step)
+    return passes
+
+
 def _mirror(taps: TapSet) -> TapSet:
     """Taps of the time-reversed stream: s[i] = s[i+n] ^ XOR(s[i+n-j], j != n)
     read from the other end is a forward recurrence with taps n and n - j."""
@@ -197,54 +213,87 @@ def _mirror(taps: TapSet) -> TapSet:
     return TapSet(n, (n,) + tuple(n - j for j in taps.taps if j != n))
 
 
-def _reverse_scale(k: int, taps: TapSet, mirror: TapSet) -> int:
-    """Scale exponent m of extend_backward's look-ahead window n * 2^m.
+@functools.lru_cache(maxsize=256)
+def _reverse_scale(k: int, taps: TapSet) -> tuple[TapSet, int]:
+    """(mirror taps, scale exponent m) of extend_backward's look-ahead window
+    n * 2^m for k bits.
 
-    Building the window costs ceil(n / min(taps)) forward passes per
-    doubling; reversing k bits with taps x 2^m costs k / (min(mirror) * 2^m)
-    passes.  m minimises their sum, with the window no longer than
-    max(k, _REVERSE_WINDOW_FLOOR) bits.
+    m minimises the cost of the two fills: the forward passes that build
+    the window, the reverse passes over k bits, whose scale starts at 2^m,
+    and the window's n * 2^m bits at ``_BITS_PER_PASS`` bits per pass.
+    The bits do not depend on m (see the note above ``state_to_window``).
     """
-    n = taps.width
-    per_doubling = -(-n // taps.taps[0])
-    m_max = max(0, (max(k, _REVERSE_WINDOW_FLOOR) // n).bit_length() - 1)
-    return min(range(m_max + 1),
-               key=lambda m: m * per_doubling + -(-k // (mirror.taps[0] << m)))
+    n, mirror = taps.width, _mirror(taps)
+
+    def cost(m):
+        ahead = n << m
+        return (_fill_passes(n, ahead, taps) + _fill_passes(ahead, ahead + k, mirror)
+                + ahead / _BITS_PER_PASS)
+
+    best, least, m = 0, cost(0), 1
+    # the window term alone grows without bound: stop once it outweighs the best
+    while (n << m) / _BITS_PER_PASS < least:
+        c = cost(m)
+        if c < least:
+            best, least = m, c
+        m += 1
+    return mirror, best
 
 
-def extend_forward(history: np.ndarray, k: int, taps: TapSet) -> np.ndarray:
+def backward_span(k: int, taps: TapSet) -> int:
+    """Bits of the buffer ``extend_backward`` fills for k bits: the k bits,
+    then the look-ahead window that starts with the given one."""
+    return k + (taps.width << _reverse_scale(k, taps)[1])
+
+
+def extend_forward(history: np.ndarray, k: int, taps: TapSet,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Append k stream bits after ``history`` (last axis holds >= n bits).
 
-    Works on shape (..., n); returns (..., k).
+    Works on shape (..., n); returns (..., k).  With ``out`` (last axis
+    at least n + k long) nothing is allocated: out[..., :n + k] receives
+    history's last n bits followed by the k new ones, and the result is
+    a view of it.
     """
     n = taps.width
     if k < 0:
         raise ValueError("k must be >= 0")
     if history.shape[-1] < n:
         raise ValueError("history must contain at least n bits")
-    buf = np.empty(history.shape[:-1] + (n + k,), dtype=np.uint8)
+    if out is None:
+        out = np.empty(history.shape[:-1] + (n + k,), dtype=np.uint8)
+    elif out.shape[-1] < n + k:
+        raise ValueError(f"out holds {out.shape[-1]} bits, needs {n + k}")
+    buf = out[..., : n + k]
     buf[..., :n] = history[..., -n:]
     _fill(buf, n, taps)
     return buf[..., n:]
 
 
-def extend_backward(window: np.ndarray, k: int, taps: TapSet) -> np.ndarray:
+def extend_backward(window: np.ndarray, k: int, taps: TapSet,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct the k stream bits preceding ``window``.
 
     ``window`` is s[p : p+n) (shape (..., n)); the result is s[p-k : p)
     in stream order.  This is the vectorized form of ``shift_reverse``:
     s[m] = s[m+n] XOR (XOR of s[m+n-j] for non-tail taps j).  The window
     is first extended forward to n * 2^m bits so that the reverse
-    recurrence can run with every tap scaled by 2^m.
+    recurrence can run with every tap scaled by 2^m.  With ``out`` (last
+    axis at least ``backward_span(k, taps)`` long) nothing is allocated:
+    out[..., :k + n] receives s[p-k : p+n) and the result is a view of it.
     """
     n = taps.width
     if k < 0:
         raise ValueError("k must be >= 0")
     if window.shape[-1] != n:
         raise ValueError("window must be exactly n bits")
-    mirror = _mirror(taps)
-    ahead = n << _reverse_scale(k, taps, mirror)
-    buf = np.empty(window.shape[:-1] + (k + ahead,), dtype=np.uint8)
+    mirror, m = _reverse_scale(k, taps)
+    ahead = n << m
+    if out is None:
+        out = np.empty(window.shape[:-1] + (k + ahead,), dtype=np.uint8)
+    elif out.shape[-1] < k + ahead:
+        raise ValueError(f"out holds {out.shape[-1]} bits, needs {k + ahead}")
+    buf = out[..., : k + ahead]
     buf[..., k : k + n] = window
     _fill(buf[..., k:], n, taps)
     _fill(buf[..., ::-1], ahead, mirror)

@@ -21,15 +21,20 @@ The backward pass stops at the first Bayesian layer, which computes only
 its weight gradient: the errors it would pass to the input image reach
 no parameter.
 
-Per-weight math: eps is gathered from a table of every count's value
-(standardized in float64, rounded once to the working dtype), and the
-sampled weight is built in that buffer in place.  sigma is fixed within
-a step, so the sigma terms of the log densities (-sum log sigma and the
-sqrt(2 pi) constants) are taken once per layer per step; sum(eps^2)
-comes exactly from the integer counts and sum(w^2) is accumulated in
-float64 without a float64 copy.  The backward pass forms dw' and the
-(dmu, dsigma) updates with in-place operations whose bits equal the
-plain expressions.
+Per-weight math: eps is standardized from the counts straight into the
+working dtype (``counts_to_eps`` with ``out``: the float64 value rounded
+once), and the sampled weight is built in that buffer in place.  The
+forward pass's w and the backward pass's eps and w live in two buffers
+that each ``Trainer`` keeps across steps, sized by its largest layer and
+shared by its samples and layers; dw' is then built in w's buffer.
+Together with the generator's ``BlockScratch`` this leaves the noise
+path allocating only the count arrays the streams hand out.  sigma is
+fixed within a step, so the sigma terms of the log densities (-sum log
+sigma and the sqrt(2 pi) constants) are taken once per layer per step;
+sum(eps^2) comes exactly from the integer counts and sum(w^2) is
+accumulated in float64 without a float64 copy.  The backward pass forms
+dw' and the (dmu, dsigma) updates with in-place operations whose bits
+equal the plain expressions.
 
 Note on pattern reuse: because SHIFT ends every step with the streams
 restored to their pre-step state (that is what reversal means), the next
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .grng import GrngStream, counts_to_eps, grng_init
+from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
 
 SIGMA_MIN_DEFAULT = 1e-6
@@ -109,14 +114,15 @@ class LossBreakdown:
 # -- per-weight math, as used by the function units -------------------------
 
 
-def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig):
+def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig, out=None):
     """d(posterior + prior terms)/dw for one sampled weight.
 
     "paper" mode keeps only the dominant prior part w / sigma_prior^2
     (a 2-bit left shift when sigma_prior = 0.5); "exact" mode adds the
-    posterior's through-w derivative -eps / sigma.
+    posterior's through-w derivative -eps / sigma.  ``out`` (which may
+    be ``w``) receives the result; exact mode still makes one temporary.
     """
-    g = w / (cfg.sigma_prior ** 2)
+    g = np.divide(w, cfg.sigma_prior ** 2, out=out)
     if cfg.grad_mode == "exact":
         g -= eps / sigma
     return g
@@ -331,23 +337,39 @@ class GradAccum:
             a[...] = 0
 
 
+def _front(buf: np.ndarray, shape) -> np.ndarray:
+    """The first prod(shape) elements of a flat buffer, shaped ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 class Trainer:
     def __init__(self, model: Model, cfg: TrainConfig, taps: TapSet | None = None):
         self.model = model
         self.cfg = cfg
         self.taps = taps or TapSet.default(256)
         self.n = self.taps.width
+        # one set of work buffers for every stream and layer, sized by the
+        # largest layer: the streams draw one at a time
+        largest = max((l.weight_count for _, l in model.bayes_layers()), default=0)
+        self.scratch = BlockScratch()
+        self.scratch.reserve(largest, self.taps)
         self.streams: list[GrngStream] = [
-            grng_init(cfg.master_seed, i, self.taps) for i in range(cfg.S)
+            grng_init(cfg.master_seed, i, self.taps, self.scratch) for i in range(cfg.S)
         ]
-        # eps of every possible count, standardized in float64 once and then
-        # rounded to the working dtype: the same bits as per-draw conversion
-        self._eps_table = counts_to_eps(np.arange(self.n + 1), self.n).astype(cfg.dtype)
+        self._eps_buf = np.empty(largest, cfg.dtype)
+        self._w_buf = np.empty(largest, cfg.dtype)
         self._accum = None
 
-    def _eps_from_counts(self, counts: np.ndarray, shape) -> np.ndarray:
-        """eps in the working dtype, gathered from the count table (a new array)."""
-        return np.take(self._eps_table, counts).reshape(shape)
+    @property
+    def scratch_bytes(self) -> int:
+        """Bytes of work buffers the trainer keeps across steps."""
+        return self.scratch.nbytes + self._eps_buf.nbytes + self._w_buf.nbytes
+
+    def _eps_from_counts(self, counts: np.ndarray, shape, buf=None) -> np.ndarray:
+        """eps in the working dtype, shaped ``shape``: in the front of
+        ``buf`` when given, else in a new array."""
+        out = np.empty(shape, self.cfg.dtype) if buf is None else _front(buf, shape)
+        return counts_to_eps(counts.reshape(shape), self.n, out=out)
 
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         counts = self.streams[sample_id].generate_block(layer.weight_count)
@@ -391,8 +413,8 @@ class Trainer:
             for lid, layer in enumerate(self.model.layers):
                 if layer.kind in BAYES_KINDS:
                     counts = self._draw_counts(i, lid, layer)
-                    # w = mu + eps * sigma, built in the gathered eps buffer
-                    w = self._eps_from_counts(counts, layer.mu.shape)
+                    # w = mu + eps * sigma, built in the eps buffer
+                    w = self._eps_from_counts(counts, layer.mu.shape, self._w_buf)
                     w *= layer.sigma
                     w += layer.mu
                     p_s += post_const[lid] - 0.5 * eps_square_sum(counts, self.n)
@@ -433,13 +455,14 @@ class Trainer:
                 payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
                     counts = self._retrieve_counts(i, lid, layer)
-                    eps = self._eps_from_counts(counts, layer.mu.shape)
-                    w = eps * layer.sigma
+                    eps = self._eps_from_counts(counts, layer.mu.shape, self._eps_buf)
+                    w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, eps.shape))
                     w += layer.mu
                     e, dw_lik = layer.backward(payload, e, w, need_dx=lid != first)
                     # dw' = dw_lik + kl_scale * dpu_grad, one in-place
-                    # operation at a time (each commutes, so the bits match)
-                    dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg)
+                    # operation at a time (each commutes, so the bits match),
+                    # in w's buffer: w is not read again
+                    dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg, out=w)
                     dw_prime *= cfg.kl_scale
                     dw_prime += dw_lik
                     update_gradients(dw_prime, eps, accum.dmu[lid], accum.dsigma[lid])

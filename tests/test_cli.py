@@ -181,6 +181,17 @@ class TestTrain:
         assert err.startswith("error: ")
         assert "3x32x32" in err and "8x8" in err
 
+    def test_directory_named_like_synthetic_is_idx(self, tmp_path, monkeypatch, capsys):
+        # only 'synthetic' and 'synthetic:...' name the synthetic set
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "synthetic-mnist").mkdir()
+        code = run(["train", "--model", "b-mlp", "--dataset", "synthetic-mnist",
+                    "--samples", "1", "--out", str(tmp_path / "m.sbnn")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no train-images-idx3-ubyte[.gz] under synthetic-mnist")
+        assert not (tmp_path / "m.sbnn").exists()
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from shiftbnn.lfsr import (
     InvalidTaps,
     TapSet,
     ZeroSeed,
+    backward_span,
     extend_backward,
     extend_forward,
     gf2_matpow,
@@ -197,12 +198,18 @@ class TestBulkEngine:
         """Every block size the scaled recurrences see in training, and both
         sides of each point where the scale 2^j changes: the forward register
         equals M^k applied to the start register, and extending backward
-        then forward gives back the same bits."""
+        then forward gives back the same bits.  Written into a caller's
+        buffer that is longer than needed and holds the previous block's
+        bits, both directions return the bits of a fresh call."""
         n = taps.width
         rng = np.random.default_rng(n)
         window = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
         m = transition_matrix(taps)
-        for k in block_sizes(n):
+        sizes = block_sizes(n)
+        # backward_span(k) >= n + k covers the forward need too
+        longest = max(backward_span(k, taps) for k in sizes)
+        dirty = rng.integers(0, 2, size=(3, longest + 1), dtype=np.uint8)
+        for k in sizes:
             ext = extend_forward(window, k, taps)
             final = np.concatenate([window, ext], axis=1)[:, -n:]
             # R_1..R_n is the window read from its end
@@ -211,6 +218,22 @@ class TestBulkEngine:
             back = extend_backward(window, k, taps)
             full = np.concatenate([back, window], axis=1)
             assert np.array_equal(extend_forward(full[:, :n], k, taps), full[:, n:]), k
+
+            got = extend_forward(window, k, taps, out=dirty)
+            assert np.shares_memory(got, dirty), k
+            assert np.array_equal(dirty[:, : n + k], np.concatenate([window, ext], axis=1)), k
+            got = extend_backward(window, k, taps, out=dirty)
+            assert np.shares_memory(got, dirty), k
+            assert np.array_equal(dirty[:, : k + n], full), k
+
+    def test_short_buffer_rejected(self):
+        ts = TapSet.default(256)
+        window = state_to_window(new_lfsr(256, ts, 5))
+        with pytest.raises(ValueError, match="needs 1256"):
+            extend_forward(window, 1000, ts, out=np.zeros(1255, np.uint8))
+        span = backward_span(1000, ts)
+        with pytest.raises(ValueError, match=f"needs {span}"):
+            extend_backward(window, 1000, ts, out=np.zeros(span - 1, np.uint8))
 
     def test_forward_backward_inverse(self):
         ts = TapSet.default(256)
