@@ -12,12 +12,13 @@ from shiftbnn import TapSet, counts_to_eps, grng_init
 
 stream = grng_init(master_seed=0, stream_id=0, taps=TapSet.default(256))
 
+# single draws are raw 1s counts; counts_to_eps standardizes them
 draws = [stream.generate_forward() for _ in range(8)]
-print("forward draws: ", [f"{e.value:+.3f}" for e in draws])
+print("forward draws: ", [f"{e:+.3f}" for e in counts_to_eps(draws, 256)])
 
 retrieved = [stream.retrieve_backward() for _ in range(8)]
-print("retrieved:     ", [f"{e.value:+.3f}" for e in retrieved])
-assert [e.count for e in retrieved] == [e.count for e in draws][::-1]
+print("retrieved:     ", [f"{e:+.3f}" for e in counts_to_eps(retrieved, 256)])
+assert retrieved == draws[::-1]
 print("retrieval is the exact reverse of generation, no storage involved")
 
 # moments over a large block (the block engine is bit-identical to

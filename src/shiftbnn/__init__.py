@@ -20,7 +20,6 @@ from .lfsr import (
     shift_reverse,
 )
 from .grng import (
-    Epsilon,
     GrngStream,
     UnderflowBeforeSeed,
     counts_to_eps,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TAPS", "InvalidTaps", "LfsrState", "TapSet", "ZeroSeed",
     "new_lfsr", "popcount_state", "shift_forward", "shift_reverse",
-    "Epsilon", "GrngStream", "UnderflowBeforeSeed",
+    "GrngStream", "UnderflowBeforeSeed",
     "counts_to_eps", "grng_init", "read_epsilon_log", "write_epsilon_log",
     "canonical_forward_order", "reverse_schedule",
     "Model", "MODEL_BUILDERS", "TrainConfig", "Trainer",

@@ -191,7 +191,10 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
         return images[:half], labels[:half]
     if os.path.isdir(spec):
         images, labels = _IDX_NAMES[split]
-        return data.load_idx(_find_idx(spec, images), _find_idx(spec, labels))
+        examples = data.load_idx(_find_idx(spec, images), _find_idx(spec, labels))
+        if not len(examples[1]):
+            raise ConfigError(f"dataset {spec} has no {split} examples")
+        return examples
     raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
 
 

@@ -53,12 +53,11 @@ class CostParams:
     e_mac: float = 0.5                # pJ per MAC
     bw_dram: float = 43.0             # bytes per cycle; calibrated, see README
     macs_per_cycle: int = 256         # 16 tiles x 16 PEs
-    frequency: float = 200e6          # Hz
     eps_double_read: bool = False     # charge the noise read in BW and GC
 
     def __post_init__(self):
         for name in ("bytes_per_value", "e_dram", "e_mac", "bw_dram",
-                     "macs_per_cycle", "frequency"):
+                     "macs_per_cycle"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -40,7 +40,7 @@ def _open_binary(path):
     return open(path, "rb")
 
 
-def _read_exact(f, nbytes: int, what: str) -> bytes:
+def read_exact(f, nbytes: int, what: str) -> bytes:
     raw = f.read(nbytes)
     if len(raw) != nbytes:
         raise TruncatedFile(f"{what}: wanted {nbytes} bytes, got {len(raw)}")
@@ -50,20 +50,20 @@ def _read_exact(f, nbytes: int, what: str) -> bytes:
 def read_idx_images(path) -> np.ndarray:
     """[count, rows, cols] float32 array scaled to [0, 1]."""
     with _open_binary(path) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
+        magic, count, rows, cols = struct.unpack(">IIII", read_exact(f, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise BadMagic(f"image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(f, count * rows * cols, "image data")
+        raw = read_exact(f, count * rows * cols, "image data")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     return pixels.astype(np.float32) / 255.0
 
 
 def read_idx_labels(path) -> np.ndarray:
     with _open_binary(path) as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "label header"))
+        magic, count = struct.unpack(">II", read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise BadMagic(f"label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        raw = _read_exact(f, count, "label data")
+        raw = read_exact(f, count, "label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_exact
 from .lfsr import (
     LfsrState,
     TapSet,
@@ -40,31 +40,36 @@ class UnderflowBeforeSeed(RuntimeError):
     further than it drew."""
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """A standardized draw plus the raw 1s count that produced it."""
-
-    value: float
-    count: int
-
-
 def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4), in float64.
+    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4).
 
-    With ``out`` (a float array of the counts' shape) the float64 values
-    are rounded once to out's dtype and written there without a float64
-    temporary: count - n/2 is exact in any float dtype, and the quotient
-    is taken in float64, or in out's dtype when sqrt(n/4) is a power of
-    two (n = 16, 64, 256, ...) and the division is exact there too.
+    The values are the float64 ones rounded once to out's dtype (a float
+    array of the counts' shape; without ``out``, a new float64 array),
+    written there without a float64 temporary: count - n/2 is exact in
+    any float dtype, and the quotient is taken in float64, or in out's
+    dtype when sqrt(n/4) is a power of two (n = 16, 64, 256, ...) and the
+    division is exact there too.
     """
-    scale = np.sqrt(n / 4.0)
     if out is None:
-        return (np.asarray(counts, dtype=np.float64) - n / 2.0) / scale
+        out = np.empty(np.shape(counts), np.float64)
+    scale = np.sqrt(n / 4.0)
     np.subtract(counts, n / 2.0, out=out, dtype=out.dtype)
     exact = math.frexp(scale)[0] == 0.5
     np.divide(out, scale, out=out, dtype=out.dtype if exact else np.float64,
               casting="same_kind")
     return out
+
+
+def eps_square_sum(counts: np.ndarray, n: int) -> float:
+    """Sum of eps^2 over a block, exact from its raw counts.
+
+    eps = (c - n/2) / sqrt(n/4), so the sum is sum((2c - n)^2) / n, whose
+    numerator 4*sum(c^2) - 4n*sum(c) + k*n^2 is an int64 (an int32
+    accumulator would wrap on an fc1-sized block).
+    """
+    sum_c = int(np.sum(counts, dtype=np.int64))
+    sum_c2 = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
+    return (4 * sum_c2 - 4 * n * sum_c + counts.size * n * n) / n
 
 
 def _window_counts(full: np.ndarray, n: int, k: int, steps: np.ndarray) -> np.ndarray:
@@ -147,37 +152,34 @@ def derive_seed(master_seed: int, stream_id: int, width: int) -> int:
 class GrngStream:
     """One logical stream of Gaussian draws over a reversible LFSR.
 
-    Exclusively owned by one worker at a time; streams for different
-    ensemble samples run independently.
+    Every draw is the 1s count of the register after a forward shift;
+    ``counts_to_eps`` standardizes counts.  Exclusively owned by one worker
+    at a time; streams for different ensemble samples run independently
+    and may share one ``BlockScratch`` (without one, a stream keeps its own).
     """
 
     def __init__(self, lfsr: LfsrState, scratch: BlockScratch | None = None):
         self.lfsr = lfsr
         self.n = lfsr.taps.width
         self.running_sum = popcount_state(lfsr)
-        # shared work buffers of the block API; without them every block
-        # allocates its own
-        self.scratch = scratch
+        self.scratch = scratch if scratch is not None else BlockScratch()
 
     # -- single-draw API ----------------------------------------------------
 
-    def _epsilon(self, count: int) -> Epsilon:
-        return Epsilon(value=(count - self.n / 2.0) / np.sqrt(self.n / 4.0), count=count)
-
-    def generate_forward(self) -> Epsilon:
+    def generate_forward(self) -> int:
         self.lfsr, head_in, tail_out = shift_forward(self.lfsr)
         self.running_sum += head_in - tail_out
-        return self._epsilon(self.running_sum)
+        return self.running_sum
 
-    def retrieve_backward(self) -> Epsilon:
+    def retrieve_backward(self) -> int:
         if self.lfsr.position <= 0:
             raise UnderflowBeforeSeed(
                 f"retrieve at position {self.lfsr.position}: nothing left to retrieve"
             )
-        eps = self._epsilon(self.running_sum)
+        count = self.running_sum
         self.lfsr, tail_in, head_out = shift_reverse(self.lfsr)
         self.running_sum += tail_in - head_out
-        return eps
+        return count
 
     @property
     def position(self) -> int:
@@ -190,23 +192,16 @@ class GrngStream:
 
     # -- block API (bit-identical to repeated single draws) ------------------
 
-    def _scratch(self) -> BlockScratch:
-        return self.scratch if self.scratch is not None else BlockScratch()
-
     def generate_block(self, k: int) -> np.ndarray:
         """k forward draws at once; returns the raw counts as a new uint16 array."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k == 0:
-            return np.zeros(0, dtype=np.uint16)
-        scratch = self._scratch()
         window = state_to_window(self.lfsr)
         # full holds the window and then the k new bits, in stream order
-        full = scratch.bits(self.n + k)
+        full = self.scratch.bits(self.n + k)
         extend_forward(window, k, self.lfsr.taps, out=full)
-        counts = _window_counts(full, self.n, k, scratch.steps(k))
-        self.lfsr = window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k)
-        self.running_sum = int(counts[-1])
+        counts = _window_counts(full, self.n, k, self.scratch.steps(k))
+        self.reset_to(window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k))
         return counts
 
     def retrieve_block(self, k: int) -> np.ndarray:
@@ -219,19 +214,16 @@ class GrngStream:
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k == 0:
-            return np.zeros(0, dtype=np.uint16)
         if self.lfsr.position - k < 0:
             raise UnderflowBeforeSeed(
                 f"retrieve {k} draws at position {self.lfsr.position}"
             )
-        scratch = self._scratch()
         window = state_to_window(self.lfsr)
-        buf = scratch.bits(backward_span(k, self.lfsr.taps))
+        buf = self.scratch.bits(backward_span(k, self.lfsr.taps))
         extend_backward(window, k, self.lfsr.taps, out=buf)
         # the k older bits, then the window, in stream order
         full = buf[: k + self.n]
-        counts = _window_counts(full, self.n, k, scratch.steps(k))
+        counts = _window_counts(full, self.n, k, self.scratch.steps(k))
         self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
         return counts[::-1]
 
@@ -263,7 +255,8 @@ def read_epsilon_log(path) -> tuple[int, np.ndarray]:
         magic = f.read(4)
         if magic != EPSL_MAGIC:
             raise ValueError(f"bad epsilon log magic: {magic!r}")
-        version, n, count = struct.unpack("<IIQ", f.read(16))
+        header = read_exact(f, 16, "truncated epsilon log header")
+        version, n, count = struct.unpack("<IIQ", header)
         if version != 1:
             raise ValueError(f"unsupported epsilon log version {version}")
         raw = f.read(2 * count)

@@ -172,8 +172,9 @@ def window_to_state(window: np.ndarray, taps: TapSet, position: int) -> LfsrStat
     return LfsrState(bits, taps, position)
 
 
-def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
-    """Fill buf[..., known:] from the stream bits buf[..., :known], known >= n.
+def _fill(buf: np.ndarray, known: int, taps: TapSet) -> int:
+    """Fill buf[..., known:] from the stream bits buf[..., :known], known >= n;
+    returns the number of passes.
 
     Each pass takes the largest scale 2^e with n * 2^e <= known, so every
     bit the scaled recurrence reads lies in the buffer, and writes the next
@@ -181,7 +182,7 @@ def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
     every ceil(n / min(taps)) passes, so k bits take about that many times
     log2(k / n) passes (``_fill_passes`` counts them exactly).
     """
-    n, total = taps.width, buf.shape[-1]
+    n, total, passes = taps.width, buf.shape[-1], 0
     while known < total:
         e = (known // n).bit_length() - 1
         blk = min(taps.taps[0] << e, total - known)
@@ -191,6 +192,8 @@ def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
         for lo in rest:
             dst ^= buf[..., lo : lo + blk]
         known += blk
+        passes += 1
+    return passes
 
 
 def _fill_passes(known: int, total: int, taps: TapSet) -> int:

@@ -21,20 +21,21 @@ The backward pass stops at the first Bayesian layer, which computes only
 its weight gradient: the errors it would pass to the input image reach
 no parameter.
 
-Per-weight math: eps is standardized from the counts straight into the
-working dtype (``counts_to_eps`` with ``out``: the float64 value rounded
-once), and the sampled weight is built in that buffer in place.  The
-forward pass's w and the backward pass's eps and w live in two buffers
-that each ``Trainer`` keeps across steps, sized by its largest layer and
-shared by its samples and layers; dw' is then built in w's buffer.
-Together with the generator's ``BlockScratch`` this leaves the noise
-path allocating only the count arrays the streams hand out.  sigma is
-fixed within a step, so the sigma terms of the log densities (-sum log
-sigma and the sqrt(2 pi) constants) are taken once per layer per step;
-sum(eps^2) comes exactly from the integer counts and sum(w^2) is
-accumulated in float64 without a float64 copy.  The backward pass forms
-dw' and the (dmu, dsigma) updates with in-place operations whose bits
-equal the plain expressions.
+Per-weight math: the streams hand out raw 1s counts, and only ``grng``
+turns counts into eps.  ``counts_to_eps`` standardizes them straight
+into the working dtype (the float64 value rounded once), and the sampled
+weight is built in that buffer in place; ``eps_square_sum`` takes
+sum(eps^2) exactly from the integer counts.  The forward pass's w and
+the backward pass's eps and w live in two buffers that each ``Trainer``
+keeps across steps, sized by its largest layer and shared by its samples
+and layers; dw' is then built in w's buffer.  The trainer also hands its
+S streams one ``BlockScratch`` (the generator's block buffers, sized the
+same way), so the noise path allocates only the count arrays the streams
+hand out.  sigma is fixed within a step, so the sigma terms of the log
+densities (-sum log sigma and the sqrt(2 pi) constants) are taken once
+per layer per step, and sum(w^2) is accumulated in float64 without a
+float64 copy.  The backward pass forms dw' and the (dmu, dsigma) updates
+with in-place operations whose bits equal the plain expressions.
 
 Note on pattern reuse: because SHIFT ends every step with the streams
 restored to their pre-step state (that is what reversal means), the next
@@ -57,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
+from .data import read_exact
+from .grng import BlockScratch, GrngStream, counts_to_eps, eps_square_sum, grng_init
 from .lfsr import TapSet
 
 SIGMA_MIN_DEFAULT = 1e-6
@@ -136,18 +138,6 @@ def update_gradients(dw_prime, eps, accum_mu, accum_sigma) -> None:
     accum_mu += dw_prime
     dw_prime *= eps
     accum_sigma += dw_prime
-
-
-def eps_square_sum(counts: np.ndarray, n: int) -> float:
-    """Sum of eps^2 over a block, exact from its raw counts.
-
-    eps = (c - n/2) / sqrt(n/4), so the sum is sum((2c - n)^2) / n, whose
-    numerator 4*sum(c^2) - 4n*sum(c) + k*n^2 is an int64 (an int32
-    accumulator would wrap on an fc1-sized block).
-    """
-    sum_c = int(np.sum(counts, dtype=np.int64))
-    sum_c2 = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
-    return (4 * sum_c2 - 4 * n * sum_c + counts.size * n * n) / n
 
 
 def square_sum(a: np.ndarray) -> float:
@@ -365,12 +355,6 @@ class Trainer:
         """Bytes of work buffers the trainer keeps across steps."""
         return self.scratch.nbytes + self._eps_buf.nbytes + self._w_buf.nbytes
 
-    def _eps_from_counts(self, counts: np.ndarray, shape, buf=None) -> np.ndarray:
-        """eps in the working dtype, shaped ``shape``: in the front of
-        ``buf`` when given, else in a new array."""
-        out = np.empty(shape, self.cfg.dtype) if buf is None else _front(buf, shape)
-        return counts_to_eps(counts.reshape(shape), self.n, out=out)
-
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         counts = self.streams[sample_id].generate_block(layer.weight_count)
         if self.cfg.epsilon_strategy == "store":
@@ -413,8 +397,10 @@ class Trainer:
             for lid, layer in enumerate(self.model.layers):
                 if layer.kind in BAYES_KINDS:
                     counts = self._draw_counts(i, lid, layer)
-                    # w = mu + eps * sigma, built in the eps buffer
-                    w = self._eps_from_counts(counts, layer.mu.shape, self._w_buf)
+                    # w = mu + eps * sigma, built in w's buffer
+                    shape = layer.mu.shape
+                    w = counts_to_eps(counts.reshape(shape), self.n,
+                                      out=_front(self._w_buf, shape))
                     w *= layer.sigma
                     w += layer.mu
                     p_s += post_const[lid] - 0.5 * eps_square_sum(counts, self.n)
@@ -455,8 +441,10 @@ class Trainer:
                 payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
                     counts = self._retrieve_counts(i, lid, layer)
-                    eps = self._eps_from_counts(counts, layer.mu.shape, self._eps_buf)
-                    w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, eps.shape))
+                    shape = layer.mu.shape
+                    eps = counts_to_eps(counts.reshape(shape), self.n,
+                                        out=_front(self._eps_buf, shape))
+                    w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, shape))
                     w += layer.mu
                     e, dw_lik = layer.backward(payload, e, w, need_dx=lid != first)
                     # dw' = dw_lik + kl_scale * dpu_grad, one in-place
@@ -572,16 +560,21 @@ def load_checkpoint(path) -> list[dict]:
     with open(path, "rb") as f:
         if f.read(4) != SBNN_MAGIC:
             raise ValueError("bad checkpoint magic")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read_exact(f, 8, "truncated checkpoint header"))
         if version != 1:
             raise ValueError(f"unsupported checkpoint version {version}")
-        for _ in range(count):
-            kind_code, *dims = struct.unpack("<B4I", f.read(17))
+        for i in range(count):
+            kind_code, *dims = struct.unpack(
+                "<B4I", read_exact(f, 17, f"truncated checkpoint layer {i} header"))
+            if kind_code not in _KIND_NAMES:
+                raise ValueError(f"unknown kind code {kind_code} of checkpoint layer {i}")
             kind = _KIND_NAMES[kind_code]
             shape = tuple(dims[:4]) if kind == "conv" else tuple(dims[:2])
             size = int(np.prod(dims))
-            mu = np.frombuffer(f.read(4 * size), dtype="<f4").reshape(shape).copy()
-            sigma = np.frombuffer(f.read(4 * size), dtype="<f4").reshape(shape).copy()
+            mu, sigma = (
+                np.frombuffer(read_exact(f, 4 * size, f"truncated checkpoint layer {i} {name}"),
+                              dtype="<f4").reshape(shape).copy()
+                for name in ("mu", "sigma"))
             out.append({"kind": kind, "dims": tuple(dims), "mu": mu, "sigma": sigma})
     return out
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from shiftbnn import cli
+from shiftbnn import cli, data
 from shiftbnn.costmodel import read_csv
 from shiftbnn.grng import read_epsilon_log
 from shiftbnn.train import load_checkpoint
@@ -15,6 +15,16 @@ SYNTH = "synthetic:count=64,dims=10x10,classes=4"
 
 def run(argv):
     return cli.main(argv)
+
+
+def idx_dir(root, train_count, test_count):
+    """An IDX directory of 28x28 images with the given split sizes."""
+    rng = np.random.default_rng(0)
+    for split, count in (("train", train_count), ("test", test_count)):
+        images, labels = cli._IDX_NAMES[split]
+        data.write_idx_images(root / images, rng.random((count, 28, 28)))
+        data.write_idx_labels(root / labels, rng.integers(0, 10, count))
+    return root
 
 
 class TestConfigResolution:
@@ -192,6 +202,17 @@ class TestTrain:
         assert err.startswith("error: no train-images-idx3-ubyte[.gz] under synthetic-mnist")
         assert not (tmp_path / "m.sbnn").exists()
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_idx_split_is_named_error(self, tmp_path, capsys, empty):
+        root = idx_dir(tmp_path, 0 if empty == "train" else 8, 0 if empty == "test" else 8)
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {root} has no {empty} examples\n")
+        assert not out.exists()
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):
@@ -210,6 +231,15 @@ class TestVerifyEquivalence:
         assert run(["verify-equivalence", "--model", "b-foo",
                     "--out", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().err.startswith("error: unknown model 'b-foo'")
+
+    def test_empty_idx_train_split_is_named_error(self, tmp_path, capsys):
+        root = idx_dir(tmp_path, 0, 8)
+        out = tmp_path / "v"
+        code = run(["verify-equivalence", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--steps", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: dataset {root} has no train examples\n"
+        assert not (tmp_path / "v.store").exists()
 
     def test_corrupted_taps_detected(self, tmp_path, capsys):
         out = tmp_path / "v"

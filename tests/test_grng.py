@@ -63,13 +63,21 @@ class TestStandardization:
         eps = counts_to_eps(np.array([0, 256]), 256)
         assert eps[0] == -16.0 and eps[1] == 16.0
 
+    @pytest.mark.parametrize("n", [8, 12, 256])
+    def test_without_out_is_float64(self, n):
+        counts = np.arange(n + 1, dtype=np.uint16)
+        eps = counts_to_eps(counts, n)
+        assert eps.dtype == np.float64
+        expect = (counts.astype(np.float64) - n / 2) / np.sqrt(n / 4)
+        assert eps.tobytes() == expect.tobytes()
+
 
 class TestIncrementalSum:
     def test_forward_updates_match_popcount(self, stream):
         for _ in range(500):
-            e = stream.generate_forward()
+            count = stream.generate_forward()
             assert stream.running_sum == popcount_state(stream.lfsr)
-            assert e.count == stream.running_sum
+            assert count == stream.running_sum
 
     def test_mixed_walk_matches_popcount(self, stream):
         rng = np.random.default_rng(42)
@@ -83,7 +91,7 @@ class TestIncrementalSum:
     def test_retrieval_returns_last_generated(self, stream):
         forward = [stream.generate_forward() for _ in range(100)]
         backward = [stream.retrieve_backward() for _ in range(100)]
-        assert [e.count for e in backward] == [e.count for e in forward][::-1]
+        assert backward == forward[::-1]
         assert stream.position == 0
 
     def test_underflow_guard(self, stream):
@@ -98,7 +106,7 @@ class TestBlockEngine:
         a = grng_init(3, 1, TapSet.default(256))
         b = grng_init(3, 1, TapSet.default(256))
         block = a.generate_block(777)
-        scalar = np.array([b.generate_forward().count for _ in range(777)])
+        scalar = np.array([b.generate_forward() for _ in range(777)])
         assert np.array_equal(block, scalar)
         assert a.lfsr == b.lfsr
         assert a.running_sum == b.running_sum
@@ -110,7 +118,7 @@ class TestBlockEngine:
         for _ in range(500):
             b.generate_forward()
         block = a.retrieve_block(500)
-        scalar = np.array([b.retrieve_backward().count for _ in range(500)])
+        scalar = np.array([b.retrieve_backward() for _ in range(500)])
         assert np.array_equal(block, scalar)
         assert a.lfsr == b.lfsr
 
@@ -132,6 +140,32 @@ class TestBlockEngine:
             with pytest.raises(ValueError, match="k must be >= 0"):
                 block(-3)
         assert (a.lfsr, a.running_sum) == before
+
+    def test_empty_blocks_change_nothing(self):
+        a = grng_init(0, 0, TapSet.default(256))
+        a.generate_block(10)
+        before = (a.lfsr, a.running_sum)
+        for block in (a.generate_block, a.retrieve_block):
+            counts = block(0)
+            assert counts.dtype == np.uint16 and counts.size == 0
+            assert (a.lfsr, a.running_sum) == before
+
+    def test_stream_keeps_one_scratch(self):
+        a = grng_init(0, 0, TapSet.default(256))
+        scratch = a.scratch
+        sizes = [4_000, 313_600, 450]
+
+        def round_trip():
+            for k in sizes:
+                a.generate_block(k)
+            for k in reversed(sizes):
+                a.retrieve_block(k)
+
+        round_trip()
+        bits, steps = scratch._bits, scratch._steps
+        round_trip()
+        assert a.scratch is scratch
+        assert scratch._bits is bits and scratch._steps is steps
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))
@@ -197,4 +231,11 @@ class TestEpsilonLog:
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(ValueError):
+            read_epsilon_log(path)
+
+    def test_truncated_header_named(self, tmp_path):
+        path = tmp_path / "t.epsl"
+        write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated epsilon log header"):
             read_epsilon_log(path)

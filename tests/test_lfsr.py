@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftbnn import lfsr
 from shiftbnn.lfsr import (
     DEFAULT_TAPS,
     InvalidTaps,
@@ -225,6 +226,27 @@ class TestBulkEngine:
             got = extend_backward(window, k, taps, out=dirty)
             assert np.shares_memory(got, dirty), k
             assert np.array_equal(dirty[:, : k + n], full), k
+
+    def test_fill_passes_counts_fill(self, monkeypatch):
+        """Every pass count ``_reverse_scale`` weighs, for both fills of
+        ``extend_backward`` at every scale it tries, is the number of
+        passes ``_fill`` makes."""
+        passes, asked = lfsr._fill_passes, set()
+
+        def recording(known, total, taps):
+            asked.add((known, total, taps))
+            return passes(known, total, taps)
+
+        monkeypatch.setattr(lfsr, "_fill_passes", recording)
+        for taps in SCALE_TAPS:
+            for k in block_sizes(taps.width):
+                lfsr._reverse_scale.__wrapped__(k, taps)
+        monkeypatch.undo()
+        assert {ts for _, _, ts in asked} >= set(SCALE_TAPS)
+        buf = np.zeros(max(total for _, total, _ in asked), np.uint8)
+        for known, total, taps in asked:
+            assert lfsr._fill(buf[:total], known, taps) == passes(known, total, taps), (
+                known, total, taps)
 
     def test_short_buffer_rejected(self):
         ts = TapSet.default(256)

@@ -10,7 +10,7 @@ import pytest
 
 from shiftbnn import nn, train
 from shiftbnn.cli import _RecordingTrainer
-from shiftbnn.grng import counts_to_eps, grng_init
+from shiftbnn.grng import counts_to_eps, eps_square_sum, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
     MODEL_BUILDERS,
@@ -22,7 +22,6 @@ from shiftbnn.train import (
     build_bmlp,
     build_toyconv,
     dpu_grad,
-    eps_square_sum,
     load_checkpoint,
     save_checkpoint,
     update_gradients,
@@ -76,10 +75,8 @@ class TestPerWeightMath:
     @pytest.mark.parametrize("width", [8, 256])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eps_table_matches_direct_conversion(self, width, dtype):
-        cfg = TrainConfig(S=1, dtype=dtype)
-        trainer = Trainer(Model([BayesFC(2, 2)]), cfg, taps=TapSet.default(width))
         counts = np.arange(width + 1, dtype=np.uint16)
-        got = trainer._eps_from_counts(counts, counts.shape)
+        got = counts_to_eps(counts, width, out=np.empty(counts.shape, dtype))
         expect = counts_to_eps(counts, width).astype(dtype)
         assert got.dtype == dtype
         assert got.tobytes() == expect.tobytes()
@@ -572,6 +569,32 @@ class TestCheckpoints:
         p.write_bytes(b"XXXX" + b"\x00" * 8)
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_toyconv()
+        model.init_params(TrainConfig(S=1, master_seed=0))
+        p = tmp_path / "a.sbnn"
+        save_checkpoint(p, model)
+        return p
+
+    @pytest.mark.parametrize("keep,match", [
+        (7, "truncated checkpoint header"),
+        (12 + 9, "truncated checkpoint layer 0 header"),
+        (12 + 17 + 4 * 36 + 10, "truncated checkpoint layer 0 sigma"),
+        (-4, "truncated checkpoint layer 2 sigma"),
+    ])
+    def test_truncated_named(self, saved, keep, match):
+        saved.write_bytes(saved.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(saved)
+
+    def test_unknown_kind_named(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[12] = 7  # the first layer's kind code
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown kind code 7 of checkpoint layer 0"):
+            load_checkpoint(saved)
 
     def test_layer_count_mismatch(self, tmp_path):
         cfg = TrainConfig(S=1, master_seed=0)
