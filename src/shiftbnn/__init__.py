@@ -27,7 +27,6 @@ from .grng import (
     read_epsilon_log,
     write_epsilon_log,
 )
-from .replay import canonical_forward_order, reverse_schedule
 from .train import (
     Model,
     MODEL_BUILDERS,
@@ -54,7 +53,6 @@ __all__ = [
     "new_lfsr", "popcount_state", "shift_forward", "shift_reverse",
     "GrngStream", "UnderflowBeforeSeed",
     "counts_to_eps", "grng_init", "read_epsilon_log", "write_epsilon_log",
-    "canonical_forward_order", "reverse_schedule",
     "Model", "MODEL_BUILDERS", "TrainConfig", "Trainer",
     "load_checkpoint", "save_checkpoint",
     "CostParams", "MODEL_PRESETS", "ModelSpec", "TrafficReport",

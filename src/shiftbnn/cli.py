@@ -212,6 +212,23 @@ def _shape_inputs(model: train.Model, images: np.ndarray) -> np.ndarray:
     return images.reshape((len(images),) + model.feed_shape)
 
 
+def _load_split(settings: dict, split: str, model: train.Model):
+    """(examples in the model's input layout, labels) of one dataset split.
+
+    Every label must name one of the network's outputs, whose count is
+    carried through the layers' ``out_shape``.
+    """
+    images, labels = resolve_dataset(settings["dataset"], split, settings["seed"],
+                                     model.input_shape)
+    shape = model.feed_shape
+    for layer in model.layers:
+        shape = layer.out_shape(shape)
+    if labels.max() >= shape[0]:
+        raise ConfigError(f"dataset {settings['dataset']} has {split} label "
+                          f"{labels.max()}, but {model.name} has {shape[0]} outputs")
+    return _shape_inputs(model, images), labels
+
+
 def _lookup(table: dict, name: str, what: str):
     if name not in table:
         raise ConfigError(f"unknown {what} {name!r} (have {sorted(table)})")
@@ -225,14 +242,10 @@ def _lookup(table: dict, name: str, what: str):
 
 def run_train(settings: dict, log_stream=sys.stdout) -> int:
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
-    x_train, y_train = resolve_dataset(settings["dataset"], "train", settings["seed"],
-                                       model.input_shape)
-    x_val, y_val = resolve_dataset(settings["dataset"], "test", settings["seed"],
-                                   model.input_shape)
+    x_train, y_train = _load_split(settings, "train", model)
+    x_val, y_val = _load_split(settings, "test", model)
     if settings["limit"]:
         x_train, y_train = x_train[:settings["limit"]], y_train[:settings["limit"]]
-    x_train = _shape_inputs(model, x_train)
-    x_val = _shape_inputs(model, x_val)
 
     batch = settings["batch"] or (128 if os.path.isdir(settings["dataset"]) else 8)
     kl = settings["kl_scale"]
@@ -321,9 +334,7 @@ def _flatten_steps(steps: list[dict]) -> np.ndarray:
 
 def _run_steps(settings: dict, strategy: str, steps: int, taps=None):
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
-    x, y = resolve_dataset(settings["dataset"], "train", settings["seed"],
-                           model.input_shape)
-    x = _shape_inputs(model, x)
+    x, y = _load_split(settings, "train", model)
     batch = settings["batch"] or 8
     cfg = train.TrainConfig(
         S=settings["samples"], lr=settings["lr"], grad_mode=settings["grad_mode"],

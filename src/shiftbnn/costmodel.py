@@ -36,7 +36,6 @@ the constants wherever both sides share them.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -387,30 +386,17 @@ def report_rows(report: TrafficReport, params: CostParams) -> list[dict]:
     return rows
 
 
-def write_csv(path_or_file, rows: list[dict]) -> None:
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        f = path_or_file
-    try:
+def write_csv(path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_HEADER)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if close:
-            f.close()
 
 
-def read_csv(path_or_file) -> list[dict]:
+def read_csv(path) -> list[dict]:
     """Parse a report CSV back into typed row dicts."""
-    if isinstance(path_or_file, io.TextIOBase):
-        f, close = path_or_file, False
-    else:
-        f, close = open(path_or_file, newline=""), True
-    try:
-        rows = []
+    rows = []
+    with open(path, newline="") as f:
         for raw in csv.DictReader(f):
             row = dict(raw)
             for key in ("eps_bytes", "param_bytes", "fmap_bytes", "macs"):
@@ -418,7 +404,4 @@ def read_csv(path_or_file) -> list[dict]:
             for key in ("cycles", "energy"):
                 row[key] = float(row[key])
             rows.append(row)
-        return rows
-    finally:
-        if close:
-            f.close()
+    return rows

@@ -40,11 +40,22 @@ def _open_binary(path):
     return open(path, "rb")
 
 
+# read_exact's largest single read: a header may claim far more bytes than
+# its file holds, and one read of the claim would allocate all of it first
+_READ_CHUNK = 1 << 20
+
+
 def read_exact(f, nbytes: int, what: str) -> bytes:
-    raw = f.read(nbytes)
-    if len(raw) != nbytes:
-        raise TruncatedFile(f"{what}: wanted {nbytes} bytes, got {len(raw)}")
-    return raw
+    """``nbytes`` bytes of ``f``, or TruncatedFile when the file ends first."""
+    chunks = []
+    left = nbytes
+    while left:
+        chunk = f.read(min(left, _READ_CHUNK))
+        if not chunk:
+            raise TruncatedFile(f"{what}: wanted {nbytes} bytes, got {nbytes - left}")
+        chunks.append(chunk)
+        left -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_idx_images(path) -> np.ndarray:

@@ -259,7 +259,5 @@ def read_epsilon_log(path) -> tuple[int, np.ndarray]:
         version, n, count = struct.unpack("<IIQ", header)
         if version != 1:
             raise ValueError(f"unsupported epsilon log version {version}")
-        raw = f.read(2 * count)
-        if len(raw) != 2 * count:
-            raise ValueError("truncated epsilon log")
+        raw = read_exact(f, 2 * count, "truncated epsilon log counts")
         return n, np.frombuffer(raw, dtype="<u2").copy()

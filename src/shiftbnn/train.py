@@ -159,10 +159,6 @@ class BayesConv:
         self.sigma = None
 
     @property
-    def geometry(self):
-        return (self.K, self.M, self.N)
-
-    @property
     def weight_count(self) -> int:
         return self.M * self.N * self.K * self.K
 
@@ -195,10 +191,6 @@ class BayesFC:
         self.n_in, self.n_out = n_in, n_out
         self.mu = None
         self.sigma = None
-
-    @property
-    def geometry(self):
-        return (self.n_out, self.n_in)
 
     @property
     def weight_count(self) -> int:
@@ -570,7 +562,7 @@ def load_checkpoint(path) -> list[dict]:
                 raise ValueError(f"unknown kind code {kind_code} of checkpoint layer {i}")
             kind = _KIND_NAMES[kind_code]
             shape = tuple(dims[:4]) if kind == "conv" else tuple(dims[:2])
-            size = int(np.prod(dims))
+            size = math.prod(dims)
             mu, sigma = (
                 np.frombuffer(read_exact(f, 4 * size, f"truncated checkpoint layer {i} {name}"),
                               dtype="<f4").reshape(shape).copy()

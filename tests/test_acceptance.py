@@ -32,11 +32,6 @@ from shiftbnn.lfsr import (
     shift_reverse,
     state_to_window,
 )
-from shiftbnn.replay import (
-    assemble_reverse_conv,
-    canonical_forward_order,
-    replay_conv_backward_data,
-)
 from shiftbnn.train import (
     Model,
     TrainConfig,
@@ -167,28 +162,36 @@ def test_04_strategy_bit_equivalence(tmp_path):
 
 
 def test_05_kernel_flip_retrieval():
-    """Backward-assembled kernels equal rot180 of the forward kernels and
-    replay-driven error maps match the direct adjoint, element-wise."""
+    """A conv layer's draws, taken back by reverse shifting, arrive as its
+    180-degree-rotated kernels, and the trainer's backward-data kernel
+    equals a full correlation with exactly those kernels."""
     rng = np.random.default_rng(5)
-    for k, m, n, hw, stride, pad in [(3, 4, 3, 8, 1, 0), (5, 2, 2, 9, 1, 2),
-                                     (3, 3, 2, 7, 2, 1)]:
-        w = rng.standard_normal((m, n, k, k))
-        drawn = np.array([w.reshape(m, n, k * k)[mi, ni, ki] for mi, ni, ki
-                          in canonical_forward_order("conv", (k, m, n))])
-        retrieved = drawn[::-1]
+    cases = [(3, 4, 3, 8, 1, 0), (5, 2, 2, 9, 1, 2), (3, 3, 2, 7, 2, 1)]
+    for case, (k, m, n, hw, stride, pad) in enumerate(cases):
+        stream = grng_init(5, case, TapSet.default(256))
+        drawn = stream.generate_block(m * n * k * k).reshape(m, n, k, k)
+        arrivals = stream.retrieve_block(m * n * k * k)
+        assert stream.position == 0
+        # arrival order written straight into (M, N, K, K), both channel
+        # axes reversed: every kernel comes out rotated, nothing is reindexed
+        rotated = arrivals.reshape(m, n, k, k)[::-1, ::-1]
+        assert np.array_equal(rotated, drawn[:, :, ::-1, ::-1])
 
-        assembled = assemble_reverse_conv((k, m, n), retrieved)
-        assert np.array_equal(assembled, w)
-        assert np.array_equal(assembled[:, :, ::-1, ::-1], w[:, :, ::-1, ::-1])
-
-        x = rng.standard_normal((n, hw, hw))
-        e = rng.standard_normal(nn.conv_forward(x, w, stride, pad).shape)
-        replayed = replay_conv_backward_data((k, m, n), retrieved, e,
-                                             (hw, hw), stride, pad)
+        w = counts_to_eps(drawn, 256)
+        e = rng.standard_normal(nn.conv_forward(rng.standard_normal((n, hw, hw)),
+                                                w, stride, pad).shape)
+        # zero-dilate the errors by the stride, pad by K - 1 and correlate
+        # with the rotated kernels, channel-transposed; crop the input pad
+        r, c = e.shape[-2:]
+        dilated = np.zeros((m, (r - 1) * stride + 1, (c - 1) * stride + 1))
+        dilated[:, ::stride, ::stride] = e
+        full = nn.conv_forward(dilated, counts_to_eps(rotated, 256).transpose(1, 0, 2, 3),
+                               1, k - 1)
+        expected = full[:, pad:pad + hw, pad:pad + hw]
         direct = nn.conv_backward_data(e, w, (hw, hw), stride, pad)
-        # the two accumulate partial sums in different orders, so agree
+        # the two sum their partial products in different orders, so agree
         # to float rounding, not bit-for-bit
-        assert np.allclose(replayed, direct, rtol=0, atol=1e-10)
+        assert np.allclose(direct, expected, rtol=0, atol=1e-10)
 
 
 def test_06_gradient_finite_differences():

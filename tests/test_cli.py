@@ -1,6 +1,7 @@
 """End-to-end command behavior: config precedence, commands, exit codes."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,13 @@ def idx_dir(root, train_count, test_count):
         data.write_idx_images(root / images, rng.random((count, 28, 28)))
         data.write_idx_labels(root / labels, rng.integers(0, 10, count))
     return root
+
+
+def bad_label(root, split):
+    """Give one example of ``split`` label 255, the largest IDX label."""
+    labels = np.arange(8) % 10
+    labels[3] = 255
+    data.write_idx_labels(root / cli._IDX_NAMES[split][1], labels)
 
 
 class TestConfigResolution:
@@ -213,6 +221,41 @@ class TestTrain:
             f"error: dataset {root} has no {empty} examples\n")
         assert not out.exists()
 
+    def test_oversized_idx_claim_exits_2(self, tmp_path, capsys):
+        root = idx_dir(tmp_path, 8, 8)
+        big = 2 ** 32 - 1
+        (root / cli._IDX_NAMES["train"][0]).write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGES_MAGIC, big, big, big) + bytes(16))
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: image data: wanted {big ** 3} bytes, got 16\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_outside_outputs_is_named_error(self, tmp_path, capsys, split):
+        root = idx_dir(tmp_path, 8, 8)
+        bad_label(root, split)
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {root} has {split} label 255, but b-mlp has 10 outputs\n")
+        assert not out.exists()
+
+    def test_synthetic_classes_beyond_outputs_is_named_error(self, tmp_path, capsys):
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "toy-conv", "--samples", "1", "--dataset",
+                    "synthetic:classes=1000,count=64", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset synthetic:classes=1000,count=64 has train label ")
+        assert err.endswith(", but toy-conv has 10 outputs\n")
+        assert not out.exists()
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):
@@ -239,6 +282,17 @@ class TestVerifyEquivalence:
                     "--samples", "1", "--steps", "1", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: dataset {root} has no train examples\n"
+        assert not (tmp_path / "v.store").exists()
+
+    def test_label_outside_outputs_is_named_error(self, tmp_path, capsys):
+        root = idx_dir(tmp_path, 8, 8)
+        bad_label(root, "train")
+        out = tmp_path / "v"
+        code = run(["verify-equivalence", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--steps", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {root} has train label 255, but b-mlp has 10 outputs\n")
         assert not (tmp_path / "v.store").exists()
 
     def test_corrupted_taps_detected(self, tmp_path, capsys):

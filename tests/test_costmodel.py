@@ -1,7 +1,5 @@
 """Traffic/footprint/latency accounting and the mapping comparator."""
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,14 +223,13 @@ class TestMappingComparator:
 
 
 class TestCsvRoundtrip:
-    def test_rows_roundtrip_without_loss(self):
+    def test_rows_roundtrip_without_loss(self, tmp_path):
         spec = MODEL_PRESETS["b-lenet"]
         r = traffic_per_iteration(spec, 8, "store", P)
         rows = report_rows(r, P)
-        buf = io.StringIO()
-        write_csv(buf, rows)
-        buf.seek(0)
-        back = read_csv(buf)
+        path = tmp_path / "r.csv"
+        write_csv(path, rows)
+        back = read_csv(path)
         assert back == rows
         assert list(back[0]) == CSV_HEADER
 

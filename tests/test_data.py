@@ -1,16 +1,20 @@
 """IDX parsing, synthetic generation and dataset-level validation."""
 
 import gzip
+import io
 import struct
 
 import numpy as np
 import pytest
 
+from shiftbnn import data
 from shiftbnn.data import (
+    IDX_IMAGES_MAGIC,
     BadMagic,
     CountMismatch,
     TruncatedFile,
     load_idx,
+    read_exact,
     read_idx_images,
     read_idx_labels,
     synthetic_dataset,
@@ -64,6 +68,29 @@ class TestIdx:
         lp.write_bytes(raw[:4])
         with pytest.raises(TruncatedFile):
             read_idx_labels(lp)
+
+    @pytest.mark.parametrize("name", ["imgs.idx", "imgs.idx.gz"])
+    def test_oversized_claim_is_truncated(self, tmp_path, name):
+        # the header claims (2^32 - 1)^3 pixels; the file holds 16
+        big = 2 ** 32 - 1
+        raw = struct.pack(">IIII", IDX_IMAGES_MAGIC, big, big, big) + bytes(16)
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+        with pytest.raises(TruncatedFile, match=f"image data: wanted {big ** 3} bytes, got 16"):
+            read_idx_images(path)
+
+    def test_reads_in_bounded_chunks(self):
+        asked = []
+
+        class Source(io.BytesIO):
+            def read(self, size=-1):
+                asked.append(size)
+                return super().read(size)
+
+        claim = 2 ** 30
+        with pytest.raises(TruncatedFile, match=f"wanted {claim} bytes, got 5"):
+            read_exact(Source(bytes(5)), claim, "claim")
+        assert max(asked) <= data._READ_CHUNK < claim
 
     def test_count_mismatch(self, idx_pair, tmp_path):
         ip, lp, labels = idx_pair

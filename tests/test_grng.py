@@ -1,10 +1,13 @@
 """Gaussian stream behavior: incremental sums, retrieval, block engine."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftbnn.data import TruncatedFile
 from shiftbnn.grng import (
     GrngStream,
     UnderflowBeforeSeed,
@@ -238,4 +241,11 @@ class TestEpsilonLog:
         write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated epsilon log header"):
+            read_epsilon_log(path)
+
+    def test_oversized_count_is_truncated(self, tmp_path):
+        # a count of 2^63 claims 2^64 bytes; the file holds 8
+        path = tmp_path / "t.epsl"
+        path.write_bytes(b"EPSL" + struct.pack("<IIQ", 1, 256, 2 ** 63) + bytes(8))
+        with pytest.raises(TruncatedFile, match="truncated epsilon log counts"):
             read_epsilon_log(path)

@@ -1,6 +1,7 @@
 """Training engine: per-weight math, strategy equivalence, checkpoints."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -588,6 +589,15 @@ class TestCheckpoints:
         saved.write_bytes(saved.read_bytes()[:keep])
         with pytest.raises(ValueError, match=match):
             load_checkpoint(saved)
+
+    def test_oversized_layer_claim_is_truncated(self, tmp_path):
+        # every dim at 2^32 - 1: the layer claims 4 (2^32 - 1)^4 bytes of mu
+        big = 2 ** 32 - 1
+        p = tmp_path / "big.sbnn"
+        p.write_bytes(train.SBNN_MAGIC + struct.pack("<II", 1, 1)
+                      + struct.pack("<B4I", 0, big, big, big, big) + bytes(64))
+        with pytest.raises(ValueError, match="truncated checkpoint layer 0 mu"):
+            load_checkpoint(p)
 
     def test_unknown_kind_named(self, saved):
         raw = bytearray(saved.read_bytes())
