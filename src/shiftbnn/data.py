@@ -88,7 +88,12 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    arr = np.asarray(labels).astype(np.uint8)
+    """Inverse of read_idx_labels; every label must fit in a byte (0-255)."""
+    flat = np.asarray(labels).reshape(-1)
+    bad = np.flatnonzero((flat < 0) | (flat > 255))
+    if bad.size:
+        raise ValueError(f"label {flat[bad[0]]} at index {bad[0]} is outside 0-255")
+    arr = flat.astype(np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, arr.size))
         f.write(arr.tobytes())

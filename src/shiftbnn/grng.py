@@ -8,7 +8,8 @@ in reverse order instead of being stored.
 
 The count is tracked incrementally: a forward shift changes the popcount
 by head_in - tail_out, a reverse shift by tail_in - head_out, so no
-draw re-counts the register; a block counts only its first window
+draw re-counts the register; a block takes one running sum of its bits,
+and each count is the difference of two of its entries
 (``popcount_state`` stays the independent oracle in the tests).
 """
 
@@ -60,37 +61,59 @@ def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def eps_square_sum(counts: np.ndarray, n: int) -> float:
-    """Sum of eps^2 over a block, exact from its raw counts.
+def _exact_chunk(n: int, dtype) -> int:
+    """How many squares (c - n/2)^2 a ``dtype`` float sums exactly, in any order.
 
-    eps = (c - n/2) / sqrt(n/4), so the sum is sum((2c - n)^2) / n, whose
-    numerator 4*sum(c^2) - 4n*sum(c) + k*n^2 is an int64 (an int32
-    accumulator would wrap on an fc1-sized block).
+    The squares and their sums are integers when n is even and multiples
+    of 1/4 when n is odd.  A float with p significand bits holds such a
+    value exactly up to 2^p units, and one square is at most (n/2)^2
+    units, or n^2 quarters.  0 when a single square does not fit.
     """
-    sum_c = int(np.sum(counts, dtype=np.int64))
-    sum_c2 = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
-    return (4 * sum_c2 - 4 * n * sum_c + counts.size * n * n) / n
+    largest = (n // 2) ** 2 if n % 2 == 0 else n * n
+    return 2 ** (np.finfo(dtype).nmant + 1) // largest
 
 
-def _window_counts(full: np.ndarray, n: int, k: int, steps: np.ndarray) -> np.ndarray:
+def eps_square_sum(counts: np.ndarray, n: int, buf: np.ndarray | None = None) -> float:
+    """Sum of eps^2 over a 1-D block, exact from its raw counts.
+
+    eps = (c - n/2) / sqrt(n/4), so the sum is 4 * sum((c - n/2)^2) / n.
+    The differences c - n/2 go into the float buffer ``buf`` (at least
+    counts.size long; without one, or when its dtype cannot hold a square,
+    a new float64 array).  Each chunk of ``_exact_chunk`` of them (1,024
+    at n = 256 in float32) is squared and summed in one row of an einsum,
+    and every partial sum is exact whatever order numpy adds in.  The
+    chunk sums add exactly in float64, and the one division rounds the
+    exact quotient: the float64 bits of sum((2c - n)^2) / n taken in
+    integers.
+    """
+    if buf is None or _exact_chunk(n, buf.dtype) == 0:
+        buf = np.empty(counts.size, np.float64)
+    chunk = _exact_chunk(n, buf.dtype)
+    diff = np.subtract(counts, n / 2, out=buf[:counts.size], dtype=buf.dtype)
+    whole = counts.size - counts.size % chunk
+    rows = diff[:whole].reshape(-1, chunk)
+    tail = diff[whole:]
+    total = (float(np.einsum("ij,ij->i", rows, rows).sum(dtype=np.float64))
+             + float(np.einsum("i,i->", tail, tail)))
+    return 4 * total / n
+
+
+def _window_counts(full: np.ndarray, n: int, k: int, prefix: np.ndarray) -> np.ndarray:
     """1s counts of the k windows full[i+1 : i+1+n], i < k, as a new uint16 array.
 
-    Each shift changes the count by full[n+i] - full[i]; the cumulative
-    sum of those changes stays within +-n.  It runs in the int32 buffer
-    ``steps`` (k long): numpy accumulates int32 several times faster
-    than int16.
+    Window i counts P[i+n] - P[i], where P, the running sum of the n + k
+    bits, goes into the int32 buffer ``prefix`` (n + k long).
     """
-    np.copyto(steps, full[n : n + k])
-    steps -= full[:k]
-    np.cumsum(steps, out=steps)
-    steps += int(full[:n].sum())
-    return steps.astype(np.uint16)
+    np.cumsum(full, dtype=np.int32, out=prefix)
+    counts = np.empty(k, np.uint16)
+    np.subtract(prefix[n:], prefix[:k], out=counts, casting="unsafe")
+    return counts
 
 
 class BlockScratch:
     """Work buffers that ``generate_block`` and ``retrieve_block`` reuse:
-    one block's stream bits plus its look-ahead window, and its int32
-    count steps.
+    one block's stream bits plus its look-ahead window, and the int32
+    running sum of the block's bits and counting window.
 
     Streams that draw one at a time can share one set.  Each buffer grows
     to the largest request and is never handed out: the count arrays the
@@ -99,26 +122,26 @@ class BlockScratch:
 
     def __init__(self):
         self._bits = np.empty(0, np.uint8)
-        self._steps = np.empty(0, np.int32)
+        self._prefix = np.empty(0, np.int32)
 
     def reserve(self, k: int, taps: TapSet) -> None:
         """Grow the buffers to serve k-draw blocks in both directions."""
         self.bits(backward_span(k, taps))  # >= n + k, the forward need
-        self.steps(k)
+        self.prefix(taps.width + k)
 
     def bits(self, size: int) -> np.ndarray:
         if self._bits.size < size:
             self._bits = np.empty(size, np.uint8)
         return self._bits[:size]
 
-    def steps(self, size: int) -> np.ndarray:
-        if self._steps.size < size:
-            self._steps = np.empty(size, np.int32)
-        return self._steps[:size]
+    def prefix(self, size: int) -> np.ndarray:
+        if self._prefix.size < size:
+            self._prefix = np.empty(size, np.int32)
+        return self._prefix[:size]
 
     @property
     def nbytes(self) -> int:
-        return self._bits.nbytes + self._steps.nbytes
+        return self._bits.nbytes + self._prefix.nbytes
 
 
 _MASK64 = (1 << 64) - 1
@@ -200,7 +223,7 @@ class GrngStream:
         # full holds the window and then the k new bits, in stream order
         full = self.scratch.bits(self.n + k)
         extend_forward(window, k, self.lfsr.taps, out=full)
-        counts = _window_counts(full, self.n, k, self.scratch.steps(k))
+        counts = _window_counts(full, self.n, k, self.scratch.prefix(self.n + k))
         self.reset_to(window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k))
         return counts
 
@@ -223,7 +246,7 @@ class GrngStream:
         extend_backward(window, k, self.lfsr.taps, out=buf)
         # the k older bits, then the window, in stream order
         full = buf[: k + self.n]
-        counts = _window_counts(full, self.n, k, self.scratch.steps(k))
+        counts = _window_counts(full, self.n, k, self.scratch.prefix(self.n + k))
         self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
         return counts[::-1]
 

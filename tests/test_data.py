@@ -50,6 +50,14 @@ class TestIdx:
         gz.write_bytes(gzip.compress(ip.read_bytes()))
         assert np.array_equal(read_idx_images(gz), read_idx_images(ip))
 
+    @pytest.mark.parametrize("labels,first", [([300, 3], "300 at index 0"),
+                                              ([3, -1, 999], "-1 at index 1")])
+    def test_labels_outside_a_byte_rejected(self, tmp_path, labels, first):
+        lp = tmp_path / "lbls.idx"
+        with pytest.raises(ValueError, match=f"label {first} is outside 0-255"):
+            write_idx_labels(lp, np.array(labels))
+        assert not lp.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
         p.write_bytes(struct.pack(">IIII", 0x12345678, 1, 2, 2) + b"\x00" * 4)

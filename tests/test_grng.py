@@ -165,10 +165,10 @@ class TestBlockEngine:
                 a.retrieve_block(k)
 
         round_trip()
-        bits, steps = scratch._bits, scratch._steps
+        bits, prefix = scratch._bits, scratch._prefix
         round_trip()
         assert a.scratch is scratch
-        assert scratch._bits is bits and scratch._steps is steps
+        assert scratch._bits is bits and scratch._prefix is prefix
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))

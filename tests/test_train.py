@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftbnn import nn, train
+from shiftbnn import grng, nn, train
 from shiftbnn.cli import _RecordingTrainer
 from shiftbnn.grng import counts_to_eps, eps_square_sum, grng_init
 from shiftbnn.lfsr import TapSet
@@ -54,6 +54,14 @@ class TestConfig:
         TrainConfig(lr=0.0)
 
 
+def _eps_square_sum_int64(counts, n):
+    """Reference: sum((2c - n)^2) / n = (4 sum c^2 - 4n sum c + k n^2) / n, the
+    numerator taken in int64 (an int32 accumulator wraps on an fc1 block)."""
+    sum_c = int(np.sum(counts, dtype=np.int64))
+    sum_c2 = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
+    return (4 * sum_c2 - 4 * n * sum_c + counts.size * n * n) / n
+
+
 class TestPerWeightMath:
     def test_dpu_paper_mode_is_times_four(self):
         cfg = TrainConfig(grad_mode="paper")
@@ -93,6 +101,41 @@ class TestPerWeightMath:
         counts = grng_init(3, 0, TapSet.default(256)).generate_block(313_600)
         ref = float(np.sum(counts_to_eps(counts, 256) ** 2))
         assert eps_square_sum(counts, 256) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("width", [7, 8, 12, 14, 16, 24, 256])
+    def test_eps_square_sum_equals_integer_formula(self, width):
+        # n = 7 and 14 give half-integer and odd c - n/2; a block of the
+        # extreme counts 0, 1, n - 1 and n fills each chunk to the limit
+        # of exact float32 sums
+        rng = np.random.default_rng(width)
+        chunk = grng._exact_chunk(width, np.float32)
+        extreme = np.array([0, 1, width - 1, width], np.uint16)
+        for size in sorted({0, 1, chunk - 1, chunk, chunk + 1, 313_600}):
+            blocks = [rng.choice(extreme, size),
+                      rng.integers(0, width + 1, size, dtype=np.uint16),
+                      np.zeros(size, np.uint16), np.full(size, width, np.uint16)]
+            for counts in blocks:
+                expect = _eps_square_sum_int64(counts, width)
+                for buf in (None, np.empty(size + 3, np.float32), np.empty(size, np.float64)):
+                    assert eps_square_sum(counts, width, buf) == expect, (size, buf)
+
+    def test_eps_square_sum_chunk_at_256(self):
+        # every partial sum of 1,024 squares of at most 128^2 stays <= 2^24
+        assert grng._exact_chunk(256, np.float32) == 1024
+        # a float16 square is inexact, so the sum takes a float64 buffer
+        assert grng._exact_chunk(256, np.float16) == 0
+        counts = np.full(5, 3, np.uint16)
+        assert eps_square_sum(counts, 256, np.empty(5, np.float16)) == 5 * 125 ** 2 / 64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [5, train.SQUARE_CHUNK])
+    def test_square_sum_matches_float64_reference(self, dtype, chunk):
+        rng = np.random.default_rng(chunk)
+        buf = np.empty(chunk, np.float64)
+        for shape in ((0,), (1,), (chunk - 1,), (chunk,), (chunk + 1,), (400, 784)):
+            a = rng.standard_normal(shape).astype(dtype)
+            ref = float(np.sum(a.astype(np.float64) ** 2))
+            assert train.square_sum(a, buf) == pytest.approx(ref, rel=1e-12, abs=0), shape
 
 
 class TestForwardPass:
@@ -605,6 +648,16 @@ class TestCheckpoints:
         saved.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="unknown kind code 7 of checkpoint layer 0"):
             load_checkpoint(saved)
+
+    def test_fc_dims_beyond_two_named(self, tmp_path):
+        # an fc layer is (n_out, n_in, 1, 1): dims 2, 3, 4, 1 claim 24
+        # weights but an fc shape of 6
+        p = tmp_path / "fc.sbnn"
+        p.write_bytes(train.SBNN_MAGIC + struct.pack("<II", 1, 1)
+                      + struct.pack("<B4I", 1, 2, 3, 4, 1) + bytes(2 * 4 * 24))
+        with pytest.raises(ValueError,
+                           match=r"fc checkpoint layer 0 has dims \(2, 3, 4, 1\)"):
+            load_checkpoint(p)
 
     def test_layer_count_mismatch(self, tmp_path):
         cfg = TrainConfig(S=1, master_seed=0)
