@@ -254,7 +254,6 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
     cfg = train.TrainConfig(
         S=settings["samples"],
         lr=settings["lr"],
-        batch=batch,
         grad_mode=settings["grad_mode"],
         epsilon_strategy=settings["strategy"],
         master_seed=settings["seed"],

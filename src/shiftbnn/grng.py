@@ -61,43 +61,6 @@ def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def _exact_chunk(n: int, dtype) -> int:
-    """How many squares (c - n/2)^2 a ``dtype`` float sums exactly, in any order.
-
-    The squares and their sums are integers when n is even and multiples
-    of 1/4 when n is odd.  A float with p significand bits holds such a
-    value exactly up to 2^p units, and one square is at most (n/2)^2
-    units, or n^2 quarters.  0 when a single square does not fit.
-    """
-    largest = (n // 2) ** 2 if n % 2 == 0 else n * n
-    return 2 ** (np.finfo(dtype).nmant + 1) // largest
-
-
-def eps_square_sum(counts: np.ndarray, n: int, buf: np.ndarray | None = None) -> float:
-    """Sum of eps^2 over a 1-D block, exact from its raw counts.
-
-    eps = (c - n/2) / sqrt(n/4), so the sum is 4 * sum((c - n/2)^2) / n.
-    The differences c - n/2 go into the float buffer ``buf`` (at least
-    counts.size long; without one, or when its dtype cannot hold a square,
-    a new float64 array).  Each chunk of ``_exact_chunk`` of them (1,024
-    at n = 256 in float32) is squared and summed in one row of an einsum,
-    and every partial sum is exact whatever order numpy adds in.  The
-    chunk sums add exactly in float64, and the one division rounds the
-    exact quotient: the float64 bits of sum((2c - n)^2) / n taken in
-    integers.
-    """
-    if buf is None or _exact_chunk(n, buf.dtype) == 0:
-        buf = np.empty(counts.size, np.float64)
-    chunk = _exact_chunk(n, buf.dtype)
-    diff = np.subtract(counts, n / 2, out=buf[:counts.size], dtype=buf.dtype)
-    whole = counts.size - counts.size % chunk
-    rows = diff[:whole].reshape(-1, chunk)
-    tail = diff[whole:]
-    total = (float(np.einsum("ij,ij->i", rows, rows).sum(dtype=np.float64))
-             + float(np.einsum("i,i->", tail, tail)))
-    return 4 * total / n
-
-
 def _window_counts(full: np.ndarray, n: int, k: int, prefix: np.ndarray) -> np.ndarray:
     """1s counts of the k windows full[i+1 : i+1+n], i < k, as a new uint16 array.
 

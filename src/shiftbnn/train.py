@@ -32,12 +32,14 @@ S streams one ``BlockScratch`` (the generator's block buffers, sized the
 same way), so the noise path allocates only the count arrays the streams
 hand out.  sigma is fixed within a step, so the sigma terms of the log
 densities (-sum log sigma and the sqrt(2 pi) constants) are taken once
-per layer per step.  ``eps_square_sum`` takes sum(eps^2) exactly:
-it squares c - n/2 in the idle eps buffer and sums chunks small enough
-that every float32 partial sum is an exact integer, so the result is the
-float64 value of the integer formula.  sum(w^2) goes through a 16 Ki
-float64 buffer, one BLAS dot product per chunk; only the float64
-summation order differs from a float64 copy, within 1e-12 relative.
+per layer per step.  The three sums of the log densities (sum log sigma,
+sum eps^2 and sum w^2) go through one float64 buffer of at most 16 Ki
+elements, a chunk at a time, so only their float64 summation order
+differs from a float64 copy, within 1e-12 relative.  sum(eps^2) is taken
+on the eps that ``counts_to_eps`` writes into w's buffer, and at n = 256
+it is exact: eps = (c - 128) / 8 is exact in float32, every square is a
+multiple of 1/64 of at most 256, and no partial sum of a layer comes
+near 2^53 / 64, so it equals the integer formula in any order.
 The backward pass forms dw' and the (dmu, dsigma) updates with in-place
 operations whose bits equal the plain expressions.
 
@@ -63,7 +65,7 @@ import numpy as np
 
 from . import nn
 from .data import read_exact
-from .grng import BlockScratch, GrngStream, counts_to_eps, eps_square_sum, grng_init
+from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
 
 SIGMA_MIN_DEFAULT = 1e-6
@@ -144,25 +146,42 @@ def update_gradients(dw_prime, eps, accum_mu, accum_sigma) -> None:
     accum_sigma += dw_prime
 
 
-#: float64 elements of ``square_sum``'s buffer: 128 KiB stays in cache
+#: float64 elements of the log-density sums' buffer: 128 KiB stays in cache
 SQUARE_CHUNK = 1 << 14
 
 
-def square_sum(a: np.ndarray, buf: np.ndarray) -> float:
-    """Sum of squares in float64, taken through the float64 buffer ``buf``.
-
-    Each chunk of ``buf.size`` elements is copied into ``buf`` and summed
-    by BLAS (``np.dot``), so only the float64 summation order differs
-    from a float64 copy of the whole of ``a``: the result agrees to
-    about 1e-16 times the size.
-    """
+def _float64_chunks(a: np.ndarray, buf: np.ndarray):
+    """a's elements in order, copied ``buf.size`` at a time into the float64
+    buffer ``buf``; yields the filled front of ``buf``."""
     flat = a.reshape(-1)
-    total = 0.0
     for lo in range(0, flat.size, buf.size):
         part = flat[lo:lo + buf.size]
         chunk = buf[:part.size]
         np.copyto(chunk, part)
+        yield chunk
+
+
+def square_sum(a: np.ndarray, buf: np.ndarray) -> float:
+    """Sum of squares in float64, one BLAS dot product (``np.dot``) per
+    chunk of the float64 buffer ``buf``.
+
+    Only the float64 summation order differs from a float64 copy of the
+    whole of ``a``: the result agrees to about 1e-16 times the size, and
+    equals it exactly when every partial sum is exact, as for the eps of
+    n = 256 (multiples of 1/64 of at most 256).
+    """
+    total = 0.0
+    for chunk in _float64_chunks(a, buf):
         total += float(np.dot(chunk, chunk))
+    return total
+
+
+def log_sum(a: np.ndarray, buf: np.ndarray) -> float:
+    """Sum of natural logs in float64, a chunk of the float64 buffer ``buf``
+    at a time; agrees with a float64 copy's to about 1e-16 times the size."""
+    total = 0.0
+    for chunk in _float64_chunks(a, buf):
+        total += float(np.log(chunk, out=chunk).sum())
     return total
 
 
@@ -329,8 +348,8 @@ class Model:
 
 class GradAccum:
     def __init__(self, model: Model, dtype):
-        self.dmu = {i: np.zeros_like(l.mu, dtype=dtype) for i, l in model.bayes_layers()}
-        self.dsigma = {i: np.zeros_like(l.sigma, dtype=dtype) for i, l in model.bayes_layers()}
+        self.dmu = {i: np.zeros(l.mu.shape, dtype) for i, l in model.bayes_layers()}
+        self.dsigma = {i: np.zeros(l.sigma.shape, dtype) for i, l in model.bayes_layers()}
 
     def zero(self):
         for a in self.dmu.values():
@@ -361,7 +380,7 @@ class Trainer:
         self._eps_buf = np.empty(largest, cfg.dtype)
         self._w_buf = np.empty(largest, cfg.dtype)
         self._square_buf = np.empty(min(largest, SQUARE_CHUNK), np.float64)
-        self._accum = None
+        self._accum = GradAccum(model, cfg.dtype)
 
     @property
     def scratch_bytes(self) -> int:
@@ -398,7 +417,7 @@ class Trainer:
         post_const, prior_const = {}, {}
         for lid, layer in enumerate(self.model.layers):
             if layer.kind in BAYES_KINDS:
-                log_sigma = float(np.log(layer.sigma, dtype=np.float64).sum())
+                log_sigma = log_sum(layer.sigma, self._square_buf)
                 post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
                 prior_const[lid] = layer.weight_count * (math.log(cfg.sigma_prior)
                                                          + LOG_SQRT_2PI)
@@ -411,15 +430,13 @@ class Trainer:
             for lid, layer in enumerate(self.model.layers):
                 if layer.kind in BAYES_KINDS:
                     counts = self._draw_counts(i, lid, layer)
-                    # w = mu + eps * sigma, built in w's buffer
+                    # eps, then w = mu + eps * sigma over it, in w's buffer
                     shape = layer.mu.shape
-                    w = counts_to_eps(counts.reshape(shape), self.n,
-                                      out=_front(self._w_buf, shape))
-                    w *= layer.sigma
+                    eps = counts_to_eps(counts.reshape(shape), self.n,
+                                        out=_front(self._w_buf, shape))
+                    p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
+                    w = np.multiply(eps, layer.sigma, out=eps)
                     w += layer.mu
-                    # eps's buffer is free until the backward pass
-                    p_s += post_const[lid] - 0.5 * eps_square_sum(counts, self.n,
-                                                                  self._eps_buf)
                     p_r += prior_const[lid] + (square_sum(w, self._square_buf)
                                                / (2 * cfg.sigma_prior ** 2))
                     layer_cache.append(a)
@@ -448,7 +465,7 @@ class Trainer:
         be thrown away.
         """
         cfg = self.cfg
-        accum = self._get_accum()
+        accum = self._accum
         accum.zero()
         first = next(i for i, l in enumerate(self.model.layers) if l.kind in BAYES_KINDS)
         for i in range(cfg.S):
@@ -479,11 +496,6 @@ class Trainer:
             for stream, state in zip(self.streams, self._prestep_states):
                 stream.reset_to(state)
         return accum
-
-    def _get_accum(self) -> GradAccum:
-        if self._accum is None:
-            self._accum = GradAccum(self.model, self.cfg.dtype)
-        return self._accum
 
     def train_step(self, x, y) -> LossBreakdown:
         cfg = self.cfg

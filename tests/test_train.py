@@ -4,14 +4,15 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftbnn import grng, nn, train
+from shiftbnn import nn, train
 from shiftbnn.cli import _RecordingTrainer
-from shiftbnn.grng import counts_to_eps, eps_square_sum, grng_init
+from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
     MODEL_BUILDERS,
@@ -95,37 +96,36 @@ class TestPerWeightMath:
         # sum((c - 128)^2) = 313,600 * 128^2 = 5,138,022,400 overflows an
         # int32, and so does the sum of c^2 for the all-256 block
         counts = np.full(313_600, fill, dtype=np.uint16)
-        assert eps_square_sum(counts, 256) == 5_138_022_400 / 64
+        eps = counts_to_eps(counts, 256, out=np.empty(counts.size, np.float32))
+        buf = np.empty(train.SQUARE_CHUNK, np.float64)
+        assert train.square_sum(eps, buf) == 5_138_022_400 / 64
 
     def test_eps_square_sum_matches_float_reference(self):
         counts = grng_init(3, 0, TapSet.default(256)).generate_block(313_600)
+        eps = counts_to_eps(counts, 256, out=np.empty(counts.size, np.float32))
         ref = float(np.sum(counts_to_eps(counts, 256) ** 2))
-        assert eps_square_sum(counts, 256) == pytest.approx(ref, rel=1e-12)
+        buf = np.empty(train.SQUARE_CHUNK, np.float64)
+        assert train.square_sum(eps, buf) == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("width", [7, 8, 12, 14, 16, 24, 256])
+    @pytest.mark.parametrize("width", [16, 256])
     def test_eps_square_sum_equals_integer_formula(self, width):
-        # n = 7 and 14 give half-integer and odd c - n/2; a block of the
-        # extreme counts 0, 1, n - 1 and n fills each chunk to the limit
-        # of exact float32 sums
+        # sqrt(n/4) is a power of two, so eps = (c - n/2) / sqrt(n/4) is
+        # exact in float32, each square is exact in float64 and no partial
+        # sum of an fc1-sized block leaves float64's exact range: the sum
+        # of squares equals the integer formula in any summation order
         rng = np.random.default_rng(width)
-        chunk = grng._exact_chunk(width, np.float32)
         extreme = np.array([0, 1, width - 1, width], np.uint16)
-        for size in sorted({0, 1, chunk - 1, chunk, chunk + 1, 313_600}):
+        for size in (0, 1, 1_023, 1_024, 1_025, 313_600):
             blocks = [rng.choice(extreme, size),
                       rng.integers(0, width + 1, size, dtype=np.uint16),
                       np.zeros(size, np.uint16), np.full(size, width, np.uint16)]
             for counts in blocks:
                 expect = _eps_square_sum_int64(counts, width)
-                for buf in (None, np.empty(size + 3, np.float32), np.empty(size, np.float64)):
-                    assert eps_square_sum(counts, width, buf) == expect, (size, buf)
-
-    def test_eps_square_sum_chunk_at_256(self):
-        # every partial sum of 1,024 squares of at most 128^2 stays <= 2^24
-        assert grng._exact_chunk(256, np.float32) == 1024
-        # a float16 square is inexact, so the sum takes a float64 buffer
-        assert grng._exact_chunk(256, np.float16) == 0
-        counts = np.full(5, 3, np.uint16)
-        assert eps_square_sum(counts, 256, np.empty(5, np.float16)) == 5 * 125 ** 2 / 64
+                for dtype in (np.float32, np.float64):
+                    eps = counts_to_eps(counts, width, out=np.empty(size, dtype))
+                    for chunk in (1_024, train.SQUARE_CHUNK):
+                        buf = np.empty(chunk, np.float64)
+                        assert train.square_sum(eps, buf) == expect, (size, dtype, chunk)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [5, train.SQUARE_CHUNK])
@@ -136,6 +136,18 @@ class TestPerWeightMath:
             a = rng.standard_normal(shape).astype(dtype)
             ref = float(np.sum(a.astype(np.float64) ** 2))
             assert train.square_sum(a, buf) == pytest.approx(ref, rel=1e-12, abs=0), shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [5, train.SQUARE_CHUNK])
+    def test_log_sum_matches_float64_reference(self, dtype, chunk):
+        rng = np.random.default_rng(chunk)
+        buf = np.empty(chunk, np.float64)
+        for shape in ((0,), (1,), (chunk - 1,), (chunk,), (chunk + 1,), (400, 784)):
+            a = rng.uniform(1e-6, 2.0, shape).astype(dtype)
+            before = a.copy()
+            ref = float(np.log(a.astype(np.float64)).sum())
+            assert train.log_sum(a, buf) == pytest.approx(ref, rel=1e-12, abs=0), shape
+            assert np.array_equal(a, before)  # the logs are taken in buf
 
 
 class TestForwardPass:
@@ -214,6 +226,24 @@ class TestForwardPass:
                 a, _ = layer.forward(a)
             shape = layer.out_shape(shape)
             assert a.shape == (2,) + shape, layer.kind
+
+    def test_forward_pass_makes_no_layer_sized_float64_array(self):
+        # the log-density sums go through the trainer's 128 KiB float64
+        # buffer; a float64 copy of fc1's sigma alone would be 2.39 MiB
+        x = np.random.default_rng(0).random((8, 784), dtype=np.float32)
+        y = np.arange(8) % 10
+        cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy="shift")
+        model = build_bmlp()
+        model.init_params(cfg)
+        trainer = Trainer(model, cfg)
+        trainer.train_step(x, y)  # warm-up
+        tracemalloc.start()
+        try:
+            trainer.forward_pass(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 2 ** 20, peak / 2 ** 20
 
     def test_loss_total_is_component_sum(self):
         x, y = synthetic_batch()
