@@ -240,6 +240,17 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _trainer(settings: dict, model: train.Model, strategy: str, kl_scale: float = 1.0,
+             cls=train.Trainer, taps=None) -> train.Trainer:
+    """A ``cls`` trainer of ``model``, its parameters drawn from --seed."""
+    cfg = train.TrainConfig(
+        S=settings["samples"], lr=settings["lr"], grad_mode=settings["grad_mode"],
+        epsilon_strategy=strategy, master_seed=settings["seed"], kl_scale=kl_scale,
+    )
+    model.init_params(cfg)
+    return cls(model, cfg, taps=taps)
+
+
 def run_train(settings: dict, log_stream=sys.stdout) -> int:
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x_train, y_train = _load_split(settings, "train", model)
@@ -251,16 +262,7 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
     kl = settings["kl_scale"]
     if kl is None:
         kl = 1.0 / max(math.ceil(len(x_train) / batch), 1)
-    cfg = train.TrainConfig(
-        S=settings["samples"],
-        lr=settings["lr"],
-        grad_mode=settings["grad_mode"],
-        epsilon_strategy=settings["strategy"],
-        master_seed=settings["seed"],
-        kl_scale=kl,
-    )
-    model.init_params(cfg)
-    trainer = train.Trainer(model, cfg)
+    trainer = _trainer(settings, model, settings["strategy"], kl_scale=kl)
 
     log_path = settings["report"]
     log_file = open(log_path, "w") if log_path else None
@@ -294,97 +296,73 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
     return 0
 
 
-class _RecordingTrainer(train.Trainer):
-    """Tees generated (forward) and retrieved (backward) counts for audits.
+class _RetrievalRecorder(train.Trainer):
+    """A trainer that keeps the counts its latest backward pass retrieved,
+    by (sample, layer id), in ``retrieved``; each pass starts a new dict."""
 
-    Retrievals arrive in backward layer order, so both sides are keyed by
-    (sample, layer) per step and flattened in canonical generation order
-    for the comparison.
-    """
-
-    def __init__(self, *a, **kw):
-        super().__init__(*a, **kw)
-        self.generated: list[dict] = []
-        self.retrieved: list[dict] = []
-
-    def train_step(self, x, y):
-        self._gen_step: dict = {}
-        self._ret_step: dict = {}
-        result = super().train_step(x, y)
-        self.generated.append(self._gen_step)
-        self.retrieved.append(self._ret_step)
-        return result
-
-    def _draw_counts(self, sample_id, layer_id, layer):
-        counts = super()._draw_counts(sample_id, layer_id, layer)
-        self._gen_step[(sample_id, layer_id)] = np.asarray(counts)
-        return counts
+    def backward_pass(self, caches):
+        self.retrieved = {}
+        return super().backward_pass(caches)
 
     def _retrieve_counts(self, sample_id, layer_id, layer):
         counts = super()._retrieve_counts(sample_id, layer_id, layer)
-        self._ret_step[(sample_id, layer_id)] = np.asarray(counts)
+        self.retrieved[(sample_id, layer_id)] = counts
         return counts
 
 
-def _flatten_steps(steps: list[dict]) -> np.ndarray:
-    chunks = [d[key] for d in steps for key in sorted(d)]
-    return np.concatenate(chunks) if chunks else np.zeros(0, np.uint16)
-
-
-def _run_steps(settings: dict, strategy: str, steps: int, taps=None):
-    model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
-    x, y = _load_split(settings, "train", model)
-    batch = settings["batch"] or 8
-    cfg = train.TrainConfig(
-        S=settings["samples"], lr=settings["lr"], grad_mode=settings["grad_mode"],
-        epsilon_strategy=strategy, master_seed=settings["seed"],
-    )
-    model.init_params(cfg)
-    trainer = _RecordingTrainer(model, cfg, taps=taps)
-    for i in range(steps):
-        lo = (i * batch) % len(x)
-        trainer.train_step(x[lo:lo + batch], y[lo:lo + batch])
-    return model, trainer
-
-
 def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) -> int:
+    """Steps a STORE and a SHIFT trainer in lockstep on the same batches.
+
+    After each step, the counts SHIFT retrieved must equal STORE's
+    ``step_log``, key by key in (sample, layer) order; both sides go to
+    their EPSL logs as they come, so only one step's counts are held.
+    """
     steps = settings["steps"]
     started = time.time()
-    model_a, tr_a = _run_steps(settings, "store", steps)
-    taps_b = lfsr.TapSet(256, (1, 2, 3, 256)) if corrupt_second_pass else None
-    model_b, tr_b = _run_steps(settings, "shift", steps, taps=taps_b)
+    build = _lookup(train.MODEL_BUILDERS, settings["model"], "model")
+    store = _trainer(settings, build(), "store")
+    x, y = _load_split(settings, "train", store.model)
+    taps = lfsr.TapSet(256, (1, 2, 3, 256)) if corrupt_second_pass else None
+    shift = _trainer(settings, build(), "shift", cls=_RetrievalRecorder, taps=taps)
+    batch = settings["batch"] or 8
+    draws = steps * settings["samples"] * sum(
+        l.weight_count for _, l in store.model.bayes_layers())
 
-    out_a = settings["out"] + ".store"
-    out_b = settings["out"] + ".shift"
-    train.save_checkpoint(out_a, model_a)
-    train.save_checkpoint(out_b, model_b)
+    out = settings["out"]
+    first = None  # (step, sample, layer, draw, generated, retrieved)
+    with open(out + ".store.epsl", "wb") as log_a, open(out + ".shift.epsl", "wb") as log_b:
+        grng.write_epsilon_header(log_a, store.n, draws)
+        grng.write_epsilon_header(log_b, store.n, draws)
+        for step in range(steps):
+            lo = (step * batch) % len(x)
+            store.train_step(x[lo:lo + batch], y[lo:lo + batch])
+            shift.train_step(x[lo:lo + batch], y[lo:lo + batch])
+            for key in sorted(store.step_log):
+                gen, ret = store.step_log[key], shift.retrieved[key]
+                log_a.write(np.ascontiguousarray(gen, "<u2"))
+                log_b.write(np.ascontiguousarray(ret, "<u2"))
+                if first is None and not np.array_equal(gen, ret):
+                    pos = int(np.flatnonzero(gen != ret)[0])
+                    first = (step, *key, pos, gen[pos], ret[pos])
+
+    out_a, out_b = out + ".store", out + ".shift"
+    train.save_checkpoint(out_a, store.model)
+    train.save_checkpoint(out_b, shift.model)
     bytes_a = Path(out_a).read_bytes()
     bytes_b = Path(out_b).read_bytes()
-
-    gen = _flatten_steps(tr_a.generated)
-    ret = _flatten_steps(tr_b.retrieved)
-    eps_a = settings["out"] + ".store.epsl"
-    eps_b = settings["out"] + ".shift.epsl"
-    grng.write_epsilon_log(eps_a, 256, gen)
-    grng.write_epsilon_log(eps_b, 256, ret)
-
     ok = True
     if bytes_a != bytes_b:
         ok = False
         pos = next(i for i, (p, q) in enumerate(zip(bytes_a, bytes_b)) if p != q)
         print(f"checkpoint divergence at byte {pos}: "
               f"store=0x{bytes_a[pos]:02x} shift=0x{bytes_b[pos]:02x}")
-    if gen.shape != ret.shape or not np.array_equal(gen, ret):
+    if first is not None:
         ok = False
-        if gen.shape == ret.shape:
-            pos = int(np.flatnonzero(gen != ret)[0])
-            print(f"epsilon divergence at draw {pos}: "
-                  f"generated count {gen[pos]} vs retrieved {ret[pos]}")
-        else:
-            print(f"epsilon log length mismatch: {gen.size} vs {ret.size}")
+        print("epsilon divergence at step {}, sample {}, layer {}, draw {}: "
+              "generated count {} vs retrieved {}".format(*first))
     elapsed = time.time() - started
     if ok:
-        print(f"equivalent: {steps} steps, {gen.size} draws, "
+        print(f"equivalent: {steps} steps, {draws} draws, "
               f"{len(bytes_a)} checkpoint bytes, {elapsed:.1f}s")
         return 0
     return 1
@@ -489,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=setting.takes, **switch)
         if command == "verify-equivalence":
             p.add_argument("--corrupt-second-pass", action="store_true",
-                           help="negative control: alter the tap set between passes")
+                           help="negative control: give the SHIFT trainer another tap set")
     return parser
 
 

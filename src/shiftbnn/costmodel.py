@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 from . import train
 
@@ -183,6 +183,9 @@ class StageTraffic:
     def traffic_bytes(self) -> int:
         return self.eps_bytes + self.param_bytes + self.fmap_bytes
 
+    def __add__(self, other: StageTraffic) -> StageTraffic:
+        return StageTraffic(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
 
 @dataclass
 class TrafficReport:
@@ -193,23 +196,11 @@ class TrafficReport:
     per_layer: dict[str, dict[str, StageTraffic]] = field(default_factory=dict)
 
     def layer_total(self, layer: str) -> StageTraffic:
-        stages = self.per_layer[layer].values()
-        return StageTraffic(
-            sum(s.eps_bytes for s in stages),
-            sum(s.param_bytes for s in stages),
-            sum(s.fmap_bytes for s in stages),
-            sum(s.macs for s in stages),
-        )
+        return sum(self.per_layer[layer].values(), StageTraffic())
 
     @property
     def totals(self) -> StageTraffic:
-        parts = [self.layer_total(name) for name in self.per_layer]
-        return StageTraffic(
-            sum(p.eps_bytes for p in parts),
-            sum(p.param_bytes for p in parts),
-            sum(p.fmap_bytes for p in parts),
-            sum(p.macs for p in parts),
-        )
+        return sum((self.layer_total(name) for name in self.per_layer), StageTraffic())
 
     @property
     def eps_share(self) -> float:
@@ -362,27 +353,16 @@ CSV_HEADER = ["model", "layer", "stage", "strategy", "eps_bytes",
 
 
 def report_rows(report: TrafficReport, params: CostParams) -> list[dict]:
-    rows = []
-    for name, stages in report.per_layer.items():
-        for stage in STAGES:
-            t = stages[stage]
-            cycles, energy = stage_cost(t, params)
-            rows.append({
-                "model": report.model, "layer": name, "stage": stage,
-                "strategy": report.strategy,
-                "eps_bytes": t.eps_bytes, "param_bytes": t.param_bytes,
-                "fmap_bytes": t.fmap_bytes, "macs": t.macs,
-                "cycles": cycles, "energy": energy,
-            })
-    total = report.totals
-    cycles, energy = report_cost(report, params)
-    rows.append({
-        "model": report.model, "layer": "all", "stage": "total",
-        "strategy": report.strategy,
-        "eps_bytes": total.eps_bytes, "param_bytes": total.param_bytes,
-        "fmap_bytes": total.fmap_bytes, "macs": total.macs,
-        "cycles": cycles, "energy": energy,
-    })
+    """One row per (layer, stage), then the iteration's total row."""
+    def row(layer: str, stage: str, t: StageTraffic, cost: tuple[float, float]) -> dict:
+        cycles, energy = cost
+        return {"model": report.model, "layer": layer, "stage": stage,
+                "strategy": report.strategy, **asdict(t),
+                "cycles": cycles, "energy": energy}
+
+    rows = [row(name, stage, stages[stage], stage_cost(stages[stage], params))
+            for name, stages in report.per_layer.items() for stage in STAGES]
+    rows.append(row("all", "total", report.totals, report_cost(report, params)))
     return rows
 
 

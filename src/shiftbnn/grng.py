@@ -228,11 +228,16 @@ def grng_init(master_seed: int, stream_id: int, taps: TapSet,
 EPSL_MAGIC = b"EPSL"
 
 
+def write_epsilon_header(f, n: int, count: int) -> None:
+    """The header of a log of ``count`` counts; the counts follow as "<u2"."""
+    f.write(EPSL_MAGIC)
+    f.write(struct.pack("<IIQ", 1, n, count))
+
+
 def write_epsilon_log(path, n: int, counts: np.ndarray) -> None:
     counts = np.ascontiguousarray(counts, dtype="<u2")
     with open(path, "wb") as f:
-        f.write(EPSL_MAGIC)
-        f.write(struct.pack("<IIQ", 1, n, counts.size))
+        write_epsilon_header(f, n, counts.size)
         f.write(counts.tobytes())
 
 

@@ -364,9 +364,19 @@ def _front(buf: np.ndarray, shape) -> np.ndarray:
 
 
 class Trainer:
+    """Bayes-by-backprop steps on one model under the configured strategy.
+
+    ``step_log`` is STORE's count log: the counts of the latest step, one
+    new array per (sample, layer id) in the order they were drawn, which
+    the backward pass reads back.  Each forward pass starts a new dict, so
+    a caller's reference to an earlier step's log stays intact.  SHIFT
+    leaves it empty.
+    """
+
     def __init__(self, model: Model, cfg: TrainConfig, taps: TapSet | None = None):
         self.model = model
         self.cfg = cfg
+        self.step_log: dict[tuple[int, int], np.ndarray] = {}
         self.taps = taps or TapSet.default(256)
         self.n = self.taps.width
         # one set of work buffers for every stream and layer, sized by the
@@ -391,13 +401,13 @@ class Trainer:
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         counts = self.streams[sample_id].generate_block(layer.weight_count)
         if self.cfg.epsilon_strategy == "store":
-            self._step_log[(sample_id, layer_id)] = counts
+            self.step_log[(sample_id, layer_id)] = counts
         return counts
 
     def _retrieve_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
         """Counts in forward order, recovered per the configured strategy."""
         if self.cfg.epsilon_strategy == "store":
-            return self._step_log[(sample_id, layer_id)]
+            return self.step_log[(sample_id, layer_id)]
         # reverse retrieval order -> forward order
         return self.streams[sample_id].retrieve_block(layer.weight_count)[::-1]
 
@@ -405,10 +415,10 @@ class Trainer:
         """Returns (per-sample caches, per-sample LossBreakdown list).
 
         Activations feeding the gradient stage are retained; the drawn
-        epsilons are not (SHIFT) or go to the step log (STORE).
+        counts are not (SHIFT) or go to ``step_log`` (STORE).
         """
         cfg = self.cfg
-        self._step_log = {}
+        self.step_log = {}
         self._prestep_states = [s.lfsr for s in self.streams]
         # sigma is fixed within a step, so the sample-independent terms of
         # log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2 and

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from shiftbnn import cli, data
 from shiftbnn.costmodel import read_csv
 from shiftbnn.grng import read_epsilon_log
-from shiftbnn.train import load_checkpoint
+from shiftbnn.train import build_bmlp, build_toyconv, load_checkpoint
 
 SYNTH = "synthetic:count=64,dims=10x10,classes=4"
 
@@ -268,7 +269,27 @@ class TestVerifyEquivalence:
         n, a = read_epsilon_log(str(out) + ".store.epsl")
         _, b = read_epsilon_log(str(out) + ".shift.epsl")
         assert n == 256
+        weights = sum(l.weight_count for _, l in build_toyconv().bayes_layers())
+        assert a.size == 10 * 2 * weights
         assert np.array_equal(a, b)
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path, capsys):
+        # each step's counts go to the logs before the next step runs, so
+        # 8 steps may not peak higher than 2 by one step's counts of one side
+        one_step = 2 * sum(l.weight_count for _, l in build_bmlp().bayes_layers()) * 2
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for steps in (2, 8):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert run(["verify-equivalence", "--model", "b-mlp", "--samples", "2",
+                            "--dataset", "synthetic:count=64", "--steps", str(steps),
+                            "--out", str(tmp_path / f"v{steps}")]) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peaks[8] - peaks[2] < one_step, peaks
 
     def test_unknown_model(self, tmp_path, capsys):
         assert run(["verify-equivalence", "--model", "b-foo",
@@ -301,7 +322,8 @@ class TestVerifyEquivalence:
                     "--dataset", SYNTH, "--samples", "2", "--steps", "3",
                     "--out", str(out), "--corrupt-second-pass"])
         assert code == 1
-        assert "divergence" in capsys.readouterr().out
+        assert ("epsilon divergence at step 0, sample 0, layer 3, draw 20: "
+                "generated count 92 vs retrieved 91\n") in capsys.readouterr().out
 
 
 class TestCostReport:

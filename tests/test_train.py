@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shiftbnn import nn, train
-from shiftbnn.cli import _RecordingTrainer
+from shiftbnn.cli import _RetrievalRecorder
 from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
@@ -284,14 +284,22 @@ class TestStreams:
             cfg = TrainConfig(S=2, master_seed=2, epsilon_strategy=strategy)
             model = build_toyconv()
             model.init_params(cfg)
-            trainer = _RecordingTrainer(model, cfg)
+            # each sample's stream draws its layers' counts in forward order
+            drawn = {}
+            for i in range(cfg.S):
+                oracle = grng_init(2, i, TapSet.default(256))
+                for lid, layer in model.bayes_layers():
+                    drawn[(i, lid)] = oracle.generate_block(layer.weight_count)
+            trainer = _RetrievalRecorder(model, cfg)
             trainer.train_step(x[:4], y[:4])
-            (generated,), (retrieved,) = trainer.generated, trainer.retrieved
             keys = [(i, lid) for i in range(2) for lid, _ in model.bayes_layers()]
-            assert sorted(generated) == sorted(retrieved) == keys
+            assert sorted(trainer.retrieved) == keys
+            assert sorted(trainer.step_log) == (keys if strategy == "store" else [])
             for i, lid in keys:
-                assert generated[(i, lid)].size == model.layers[lid].weight_count
-                assert np.array_equal(generated[(i, lid)], retrieved[(i, lid)]), strategy
+                assert trainer.retrieved[(i, lid)].size == model.layers[lid].weight_count
+                assert np.array_equal(drawn[(i, lid)], trainer.retrieved[(i, lid)]), strategy
+                if strategy == "store":
+                    assert np.array_equal(trainer.step_log[(i, lid)], drawn[(i, lid)])
 
 
 class TestWorkBuffers:
@@ -311,13 +319,12 @@ class TestWorkBuffers:
             oracle = grng_init(8, i, TapSet.default(256))
             for lid, layer in model.bayes_layers():
                 expect[(i, lid)] = oracle.generate_block(layer.weight_count).copy()
-        trainer = _RecordingTrainer(model, cfg)
+        trainer = _RetrievalRecorder(model, cfg)
         trainer.train_step(x[:4], y[:4])
-        step_log = trainer._step_log
+        step_log, retrieved = trainer.step_log, trainer.retrieved
         trainer.train_step(x[4:8], y[4:8])
         for key, counts in expect.items():
-            assert np.array_equal(trainer.generated[0][key], counts), key
-            assert np.array_equal(trainer.retrieved[0][key], counts), key
+            assert np.array_equal(retrieved[key], counts), key
             if strategy == "store":
                 assert np.array_equal(step_log[key], counts), key
 
