@@ -8,9 +8,11 @@ in reverse order instead of being stored.
 
 The count is tracked incrementally: a forward shift changes the popcount
 by head_in - tail_out, a reverse shift by tail_in - head_out, so no
-draw re-counts the register; a block takes one running sum of its bits,
-and each count is the difference of two of its entries
-(``popcount_state`` stays the independent oracle in the tests).
+draw re-counts the register.  A block counts its windows by doubling:
+the sums over every 2-, 4-, ..., 128-bit window of its bits, each level
+one uint8 add of the level below, and each count adds the levels of n's
+binary form (``popcount_state`` stays the independent oracle in the
+tests).
 """
 
 from __future__ import annotations
@@ -61,50 +63,67 @@ def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def _window_counts(full: np.ndarray, n: int, k: int, prefix: np.ndarray) -> np.ndarray:
+def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray) -> np.ndarray:
     """1s counts of the k windows full[i+1 : i+1+n], i < k, as a new uint16 array.
 
-    Window i counts P[i+n] - P[i], where P, the running sum of the n + k
-    bits, goes into the int32 buffer ``prefix`` (n + k long).
+    Counting by doubling: level w holds every w-bit window sum of full[1:],
+    level_w[j] = level_{w/2}[j] + level_{w/2}[j + w/2], one uint8 add into
+    the half of ``work`` (uint8, at least 2(n + k) long) that level w/2
+    does not hold.  Levels stop at width 128, so no sum passes 128 and
+    uint8 cannot wrap.  An n-bit window is one window of each lower level
+    in n's binary form, then adjacent windows of the top level (two of 128
+    bits at n = 256); the counts add them up.  The adds are integer adds,
+    so their order does not change the result.
     """
-    np.cumsum(full, dtype=np.int32, out=prefix)
+    top = min(128, 1 << (n.bit_length() - 1))
+    level = full[1 : n + k]
+    halves = work[: level.size], work[level.size : 2 * level.size]
     counts = np.empty(k, np.uint16)
-    np.subtract(prefix[n:], prefix[:k], out=counts, casting="unsafe")
-    return counts
+    w, at = 1, 0
+    while True:
+        # this level's parts: n // top windows of the top level, else n's bit w
+        for _ in range(n // top if w == top else (n & w) // w):
+            part = level[at : at + k]
+            if at:
+                np.add(counts, part, out=counts)
+            else:  # the first part starts the counts
+                np.copyto(counts, part)
+            at += w
+        if w == top:
+            return counts
+        level = np.add(level[:-w], level[w:], out=halves[w.bit_length() % 2][: level.size - w])
+        w *= 2
 
 
 class BlockScratch:
-    """Work buffers that ``generate_block`` and ``retrieve_block`` reuse:
-    one block's stream bits plus its look-ahead window, and the int32
-    running sum of the block's bits and counting window.
+    """The work buffer that ``generate_block`` and ``retrieve_block`` reuse.
 
-    Streams that draw one at a time can share one set.  Each buffer grows
-    to the largest request and is never handed out: the count arrays the
-    blocks return are always new.
+    A k-draw block keeps its n + k stream bits at the front, and its window
+    sums double in the 2(n + k) bytes after them.  A retrieval first fills
+    that region with ``extend_backward``'s look-ahead window, which is dead
+    once the bits are reconstructed, so both directions touch the same
+    memory.  Streams that draw one at a time can share one scratch.  The
+    buffer grows to the largest request and is never handed out: the count
+    arrays the blocks return are always new.
     """
 
     def __init__(self):
-        self._bits = np.empty(0, np.uint8)
-        self._prefix = np.empty(0, np.int32)
+        self._buf = np.empty(0, np.uint8)
 
     def reserve(self, k: int, taps: TapSet) -> None:
-        """Grow the buffers to serve k-draw blocks in both directions."""
-        self.bits(backward_span(k, taps))  # >= n + k, the forward need
-        self.prefix(taps.width + k)
+        """Grow the buffer to serve k-draw blocks in both directions."""
+        self.block(k, taps)
 
-    def bits(self, size: int) -> np.ndarray:
-        if self._bits.size < size:
-            self._bits = np.empty(size, np.uint8)
-        return self._bits[:size]
-
-    def prefix(self, size: int) -> np.ndarray:
-        if self._prefix.size < size:
-            self._prefix = np.empty(size, np.int32)
-        return self._prefix[:size]
+    def block(self, k: int, taps: TapSet) -> np.ndarray:
+        """The buffer for one k-draw block in either direction."""
+        size = max(backward_span(k, taps), 3 * (taps.width + k))
+        if self._buf.size < size:
+            self._buf = np.empty(size, np.uint8)
+        return self._buf[:size]
 
     @property
     def nbytes(self) -> int:
-        return self._bits.nbytes + self._prefix.nbytes
+        return self._buf.nbytes
 
 
 _MASK64 = (1 << 64) - 1
@@ -183,10 +202,11 @@ class GrngStream:
         if k < 0:
             raise ValueError("k must be >= 0")
         window = state_to_window(self.lfsr)
-        # full holds the window and then the k new bits, in stream order
-        full = self.scratch.bits(self.n + k)
-        extend_forward(window, k, self.lfsr.taps, out=full)
-        counts = _window_counts(full, self.n, k, self.scratch.prefix(self.n + k))
+        buf = self.scratch.block(k, self.lfsr.taps)
+        extend_forward(window, k, self.lfsr.taps, out=buf)
+        # the window, then the k new bits, in stream order
+        full = buf[: self.n + k]
+        counts = _window_counts(full, self.n, k, buf[self.n + k :])
         self.reset_to(window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k))
         return counts
 
@@ -205,11 +225,11 @@ class GrngStream:
                 f"retrieve {k} draws at position {self.lfsr.position}"
             )
         window = state_to_window(self.lfsr)
-        buf = self.scratch.bits(backward_span(k, self.lfsr.taps))
+        buf = self.scratch.block(k, self.lfsr.taps)
         extend_backward(window, k, self.lfsr.taps, out=buf)
         # the k older bits, then the window, in stream order
         full = buf[: k + self.n]
-        counts = _window_counts(full, self.n, k, self.scratch.prefix(self.n + k))
+        counts = _window_counts(full, self.n, k, buf[k + self.n :])
         self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
         return counts[::-1]
 

@@ -150,13 +150,21 @@ def popcount_state(state: LfsrState) -> int:
 # scaled recurrence makes min(taps) * 2^e consecutive bits independent of
 # each other, which lets one numpy pass write a block that doubles with
 # the known prefix instead of a fixed min(taps) bits.
+#
+# At a scale 2^e >= 8 every tap offset j * 2^e is a whole number of bytes,
+# and bit b of a byte depends only on bit b of the bytes it reads.  So the
+# stream packed 8 bits to a byte (little bit order) obeys the recurrence
+# with every tap scaled by 2^(e-3), byte by byte: ``_fill`` runs unchanged
+# on packed bytes, n known bytes standing for 8n known bits.
+# extend_backward runs both of its fills that way.
 # ---------------------------------------------------------------------------
 
 # extend_backward's cost model: one _fill pass costs as much as writing this
-# many window bits.  Fitted on a 2-core x86 host (numpy 2.4) to extend_backward
-# at every scale for the b-mlp and b-lenet segment sizes: 3.3 us per pass,
-# 0.059 ns per bit.
-_BITS_PER_PASS = 56_000
+# many window bytes.  Fitted on a 2-core x86 host (numpy 2.4, one BLAS
+# thread) by least squares on relative error to extend_backward's best-of-60
+# time at every scale for the b-mlp and b-lenet segment sizes, with one
+# intercept per size: 4.8 us per pass, 0.11 ns per window byte.
+_BYTES_PER_PASS = 44_000
 
 
 def state_to_window(state: LfsrState) -> np.ndarray:
@@ -218,24 +226,26 @@ def _mirror(taps: TapSet) -> TapSet:
 
 @functools.lru_cache(maxsize=256)
 def _reverse_scale(k: int, taps: TapSet) -> tuple[TapSet, int]:
-    """(mirror taps, scale exponent m) of extend_backward's look-ahead window
-    n * 2^m for k bits.
+    """(mirror taps, scale exponent m >= 3) of extend_backward's look-ahead
+    window of n * 2^m bits, held as n * 2^(m-3) packed bytes, for k bits.
 
-    m minimises the cost of the two fills: the forward passes that build
-    the window, the reverse passes over k bits, whose scale starts at 2^m,
-    and the window's n * 2^m bits at ``_BITS_PER_PASS`` bits per pass.
-    The bits do not depend on m (see the note above ``state_to_window``).
+    m minimises the cost of the two byte fills: the forward passes that
+    build the window from its first n bytes, the reverse passes over the
+    ceil(k / 8) bytes before it, whose scale starts at 2^(m-3), and the
+    window's bytes at ``_BYTES_PER_PASS`` bytes per pass.  The bits do not
+    depend on m (see the note above ``state_to_window``).
     """
     n, mirror = taps.width, _mirror(taps)
+    before = -(-k // 8)
 
     def cost(m):
-        ahead = n << m
-        return (_fill_passes(n, ahead, taps) + _fill_passes(ahead, ahead + k, mirror)
-                + ahead / _BITS_PER_PASS)
+        ahead = n << (m - 3)
+        return (_fill_passes(n, ahead, taps) + _fill_passes(ahead, ahead + before, mirror)
+                + ahead / _BYTES_PER_PASS)
 
-    best, least, m = 0, cost(0), 1
+    best, least, m = 3, cost(3), 4
     # the window term alone grows without bound: stop once it outweighs the best
-    while (n << m) / _BITS_PER_PASS < least:
+    while (n << (m - 3)) / _BYTES_PER_PASS < least:
         c = cost(m)
         if c < least:
             best, least = m, c
@@ -244,9 +254,12 @@ def _reverse_scale(k: int, taps: TapSet) -> tuple[TapSet, int]:
 
 
 def backward_span(k: int, taps: TapSet) -> int:
-    """Bits of the buffer ``extend_backward`` fills for k bits: the k bits,
-    then the look-ahead window that starts with the given one."""
-    return k + (taps.width << _reverse_scale(k, taps)[1])
+    """Bytes of the buffer ``extend_backward`` fills for k bits: the k bits
+    and the given window extended forward to 8n bits, one bit per byte,
+    then the ceil(k / 8) packed bytes before the window and the packed
+    look-ahead window."""
+    n = taps.width
+    return k + 8 * n + -(-k // 8) + (n << (_reverse_scale(k, taps)[1] - 3))
 
 
 def extend_forward(history: np.ndarray, k: int, taps: TapSet,
@@ -280,9 +293,12 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
     ``window`` is s[p : p+n) (shape (..., n)); the result is s[p-k : p)
     in stream order.  This is the vectorized form of ``shift_reverse``:
     s[m] = s[m+n] XOR (XOR of s[m+n-j] for non-tail taps j).  The window
-    is first extended forward to n * 2^m bits so that the reverse
-    recurrence can run with every tap scaled by 2^m.  With ``out`` (last
-    axis at least ``backward_span(k, taps)`` long) nothing is allocated:
+    is extended forward to 8n bits and packed into n bytes, which are
+    extended forward to the n * 2^(m-3)-byte look-ahead window; the
+    reverse recurrence then runs on the reversed bytes with every tap
+    scaled by 2^(m-3), and the ceil(k / 8) bytes before the window are
+    unpacked.  With ``out`` (last axis at least ``backward_span(k, taps)``
+    long) only the n packed bytes and the unpacked bits are allocated:
     out[..., :k + n] receives s[p-k : p+n) and the result is a view of it.
     """
     n = taps.width
@@ -291,16 +307,21 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
     if window.shape[-1] != n:
         raise ValueError("window must be exactly n bits")
     mirror, m = _reverse_scale(k, taps)
-    ahead = n << m
+    span, before, ahead = backward_span(k, taps), -(-k // 8), n << (m - 3)
     if out is None:
-        out = np.empty(window.shape[:-1] + (k + ahead,), dtype=np.uint8)
-    elif out.shape[-1] < k + ahead:
-        raise ValueError(f"out holds {out.shape[-1]} bits, needs {k + ahead}")
-    buf = out[..., : k + ahead]
-    buf[..., k : k + n] = window
-    _fill(buf[..., k:], n, taps)
-    _fill(buf[..., ::-1], ahead, mirror)
-    return buf[..., :k]
+        out = np.empty(window.shape[:-1] + (span,), dtype=np.uint8)
+    elif out.shape[-1] < span:
+        raise ValueError(f"out holds {out.shape[-1]} bytes, needs {span}")
+    bits = out[..., k : k + 8 * n]
+    bits[..., :n] = window
+    _fill(bits, n, taps)
+    packed = out[..., k + 8 * n : span]
+    packed[..., before : before + n] = np.packbits(bits, axis=-1, bitorder="little")
+    _fill(packed[..., before:], n, taps)
+    _fill(packed[..., ::-1], ahead, mirror)
+    unpacked = np.unpackbits(packed[..., :before], axis=-1, bitorder="little")
+    out[..., :k] = unpacked[..., 8 * before - k :]
+    return out[..., :k]
 
 
 def orbit_period(taps: TapSet, seed: int = 1) -> int:

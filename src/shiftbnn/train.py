@@ -28,20 +28,21 @@ weight is built in that buffer in place.  The forward pass's w and the
 backward pass's eps and w live in two buffers that each ``Trainer``
 keeps across steps, sized by its largest layer and shared by its samples
 and layers; dw' is then built in w's buffer.  The trainer also hands its
-S streams one ``BlockScratch`` (the generator's block buffers, sized the
+S streams one ``BlockScratch`` (the generator's block buffer, sized the
 same way), so the noise path allocates only the count arrays the streams
-hand out.  sigma is fixed within a step, so the sigma terms of the log
-densities (-sum log sigma and the sqrt(2 pi) constants) are taken once
-per layer per step.  The three sums of the log densities (sum log sigma,
-sum eps^2 and sum w^2) go through one float64 buffer of at most 16 Ki
-elements, a chunk at a time, so only their float64 summation order
-differs from a float64 copy, within 1e-12 relative.  sum(eps^2) is taken
-on the eps that ``counts_to_eps`` writes into w's buffer, and at n = 256
-it is exact: eps = (c - 128) / 8 is exact in float32, every square is a
-multiple of 1/64 of at most 256, and no partial sum of a layer comes
-near 2^53 / 64, so it equals the integer formula in any order.
-The backward pass forms dw' and the (dmu, dsigma) updates with in-place
-operations whose bits equal the plain expressions.
+hand out and a retrieval's unpacked bits.  sigma is fixed within a step,
+so the sigma terms of the log densities (-sum log sigma and the
+sqrt(2 pi) constants) are taken once per layer per step.  The three sums
+of the log densities (sum log sigma, sum eps^2 and sum w^2) go through one
+float64 buffer of at most 16 Ki elements, a chunk at a time, so only
+their float64 summation order differs from a float64 copy, within 1e-12
+relative.  sum(eps^2) is taken on the eps that ``counts_to_eps`` writes
+into w's buffer, and at n = 256 it is exact: eps = (c - 128) / 8 is
+exact in float32, every square is a multiple of 1/64 of at most 256, and
+no partial sum of a layer comes near 2^53 / 64, so it equals the integer
+formula in any order.  The backward pass forms dw' and the (dmu,
+dsigma) updates with in-place operations whose bits equal the plain
+expressions.
 
 Note on pattern reuse: because SHIFT ends every step with the streams
 restored to their pre-step state (that is what reversal means), the next

@@ -1,6 +1,7 @@
 """Gaussian stream behavior: incremental sums, retrieval, block engine."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 
 from shiftbnn.data import TruncatedFile
 from shiftbnn.grng import (
+    BlockScratch,
     GrngStream,
     UnderflowBeforeSeed,
     counts_to_eps,
     derive_seed,
     grng_init,
+    _window_counts,
     mix64,
     read_epsilon_log,
     write_epsilon_log,
 )
-from shiftbnn.lfsr import TapSet, new_lfsr, popcount_state
+from shiftbnn.lfsr import DEFAULT_TAPS, TapSet, new_lfsr, popcount_state
 
 
 @pytest.fixture
@@ -104,6 +107,26 @@ class TestIncrementalSum:
             stream.retrieve_backward()
 
 
+class TestWindowCounts:
+    """Counting by doubling against a direct sum over every window."""
+
+    @pytest.mark.parametrize("n", sorted(DEFAULT_TAPS))
+    @pytest.mark.parametrize("fill", ["random", "ones", "zeros"])
+    def test_matches_sliding_window_sum(self, n, fill):
+        rng = np.random.default_rng(n)
+        for k in (0, 1, n - 1, n, n + 1, 4099):
+            if fill == "random":
+                full = rng.integers(0, 2, n + k, dtype=np.uint8)
+            else:
+                full = np.full(n + k, fill == "ones", np.uint8)
+            # all ones makes every count n: a wrapped uint8 level shows
+            expect = np.lib.stride_tricks.sliding_window_view(full, n)[1:].sum(axis=1)
+            work = np.full(2 * (n + k), 0xFF, np.uint8)
+            counts = _window_counts(full, n, k, work)
+            assert counts.dtype == np.uint16, k
+            assert np.array_equal(counts, expect), k
+
+
 class TestBlockEngine:
     def test_generate_block_matches_scalar(self):
         a = grng_init(3, 1, TapSet.default(256))
@@ -165,10 +188,26 @@ class TestBlockEngine:
                 a.retrieve_block(k)
 
         round_trip()
-        bits, prefix = scratch._bits, scratch._prefix
+        buf = scratch._buf
         round_trip()
         assert a.scratch is scratch
-        assert scratch._bits is bits and scratch._prefix is prefix
+        assert scratch._buf is buf
+
+    def test_block_peaks(self):
+        """With its scratch reserved, a block allocates little beyond its
+        2-byte counts: a retrieval adds the 1-byte-per-draw unpack of the
+        reconstructed bits."""
+        k, taps, scratch = 313_600, TapSet.default(256), BlockScratch()
+        scratch.reserve(k, taps)
+        a = grng_init(0, 0, taps, scratch)
+        for block, per_draw in ((a.generate_block, 1.1 * 2), (a.retrieve_block, 3.3)):
+            tracemalloc.start()
+            try:
+                block(k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_draw * k, (block.__name__, peak / k)
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))

@@ -29,7 +29,7 @@ from shiftbnn.lfsr import (
 #: per-sample noise segment sizes of b-mlp (fc1 first) and b-lenet
 SEGMENT_SIZES = (313_600, 160_000, 4_000, 450, 2_400, 48_000, 10_080, 840)
 #: shipped defaults plus the wrong-tap negative control of verify-equivalence
-SCALE_TAPS = [TapSet.default(w) for w in (8, 16, 24, 256)] + [TapSet(256, (1, 2, 3, 256))]
+SCALE_TAPS = [TapSet.default(w) for w in sorted(DEFAULT_TAPS)] + [TapSet(256, (1, 2, 3, 256))]
 
 
 def block_sizes(n: int) -> list[int]:
@@ -163,20 +163,22 @@ class TestBulkEngine:
             scalar.append(head_in)
         assert bits.tolist() == scalar
 
-    @pytest.mark.parametrize("width", [8, 16, 24, 256])
+    @pytest.mark.parametrize("width", [8, 12, 16, 24, 256])
     def test_extend_backward_matches_scalar(self, width):
         ts = TapSet.default(width)
         s = new_lfsr(width, ts, 12345 % ((1 << width) - 1) + 1)
         for _ in range(900):
             s, _, _ = shift_forward(s)
-        k = 700
-        bits = extend_backward(state_to_window(s), k, ts)
+        window = state_to_window(s)
         scalar = []
-        for _ in range(k):
+        for _ in range(703):
             s, tail_in, _ = shift_reverse(s)
             scalar.append(tail_in)
-        # scalar reverse yields stream bits newest-first
-        assert bits.tolist() == scalar[::-1]
+        # the bits come back through whole bytes: k % 8 in {0, 1, 7}, and k < 8
+        for k in (1, 7, 8, 9, 696, 697, 703):
+            bits = extend_backward(window, k, ts)
+            # scalar reverse yields stream bits newest-first
+            assert bits.tolist() == scalar[:k][::-1], k
 
     def test_batched_extension(self):
         ts = TapSet.default(16)
@@ -228,20 +230,26 @@ class TestBulkEngine:
             assert np.array_equal(dirty[:, : k + n], full), k
 
     def test_fill_passes_counts_fill(self, monkeypatch):
-        """Every pass count ``_reverse_scale`` weighs, for both fills of
-        ``extend_backward`` at every scale it tries, is the number of
-        passes ``_fill`` makes."""
-        passes, asked = lfsr._fill_passes, set()
+        """Every pass count ``_reverse_scale`` weighs, for both byte fills
+        of ``extend_backward`` at every scale it tries, is the number of
+        passes ``_fill`` makes; the reverse fills cover the ceil(k / 8)
+        packed bytes before the window."""
+        passes, asked = lfsr._fill_passes, []
 
         def recording(known, total, taps):
-            asked.add((known, total, taps))
+            asked.append((known, total, taps))
             return passes(known, total, taps)
 
         monkeypatch.setattr(lfsr, "_fill_passes", recording)
         for taps in SCALE_TAPS:
+            mirror = lfsr._mirror(taps)
             for k in block_sizes(taps.width):
+                start = len(asked)
                 lfsr._reverse_scale.__wrapped__(k, taps)
+                reverse = {total - known for known, total, ts in asked[start:] if ts == mirror}
+                assert reverse == {-(-k // 8)}, (taps, k)
         monkeypatch.undo()
+        asked = set(asked)
         assert {ts for _, _, ts in asked} >= set(SCALE_TAPS)
         buf = np.zeros(max(total for _, total, _ in asked), np.uint8)
         for known, total, taps in asked:
