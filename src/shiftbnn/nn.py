@@ -143,38 +143,73 @@ def fc_backward_weights(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e.T @ x
 
 
-def relu_fwd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_fwd(x: np.ndarray):
+    """ReLU; returns (output, the bool mask x > 0 for bwd)."""
+    return np.maximum(x, 0), x > 0
 
 
-def relu_bwd(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return e * (x > 0)
+def relu_bwd(e: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return e * mask
+
+
+def _pool_slots(a: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k*k strided views a[..., kr::k, kc::k] of a [..., R*k, C*k] array,
+    in (kr, kc) order; each is [..., R, C] and together they tile ``a``."""
+    R, C = (out_extent(n, k, k, 0) for n in a.shape[-2:])
+    tiles = a.reshape(a.shape[:-2] + (R, k, C, k))
+    return [tiles[..., kr, :, kc] for kr in range(k) for kc in range(k)]
 
 
 def maxpool_fwd(x: np.ndarray, k: int = 2):
-    """k x k max pool with stride k over [(B,)N,H,W]; returns (output,
-    argmax index array for bwd)."""
-    H, W = x.shape[-2:]
-    R = out_extent(H, k, k, 0)
-    C = out_extent(W, k, k, 0)
-    windows = np.empty(x.shape[:-2] + (R, C, k * k), dtype=x.dtype)
-    for kr in range(k):
-        for kc in range(k):
-            windows[..., kr * k + kc] = x[..., kr : kr + R * k : k, kc : kc + C * k : k]
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return out, arg
+    """k x k max pool with stride k over [(B,)N,H,W]; returns (output, slot).
+
+    ``slot`` holds, per output element, the index kr*k + kc of the window
+    element it came from, in the smallest unsigned dtype that fits k*k - 1
+    (one byte up to k = 16).  The windows are scanned slot by slot with
+    ``np.argmax``'s rule: a later slot wins unless it is <= the best so
+    far, and nothing wins after a NaN.  So ties and NaN go to the first
+    such slot, and the output holds that element's bits (sign of zero and
+    NaN payload included).  The winners are merged on the bit patterns
+    with masks, not with a branch per element.
+    """
+    slots = _pool_slots(x, k)
+    out = slots[0].copy()
+    slot = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
+    bits = np.dtype(f"u{x.itemsize}")
+    out_bits = out.view(bits)
+    keep = np.empty(out.shape, bool)
+    nan = np.empty(out.shape, bool)
+    take = np.empty(out.shape, bits)  # all ones where slot j wins, else 0
+    diff = np.empty(out.shape, bits)
+    won = np.empty_like(slot)
+    for j, s in enumerate(slots[1:], 1):
+        # the best so far stays if s <= it, or if it is NaN
+        np.less_equal(s, out, out=keep)
+        np.not_equal(out, out, out=nan)
+        np.logical_or(keep, nan, out=keep)
+        np.subtract(keep, 1, out=take, dtype=bits)
+        np.bitwise_xor(out_bits, s.view(bits), out=diff)
+        diff &= take
+        out_bits ^= diff
+        # j grows, so the largest winning j is the last one
+        np.bitwise_and(take, j, out=won, casting="unsafe")
+        np.maximum(slot, won, out=slot)
+    return out, slot
 
 
-def maxpool_bwd(e: np.ndarray, arg: np.ndarray, in_hw: tuple[int, int],
+def maxpool_bwd(e: np.ndarray, slot: np.ndarray, in_hw: tuple[int, int],
                 k: int = 2) -> np.ndarray:
-    H, W = in_hw
-    R, C = e.shape[-2:]
-    dx = np.zeros(e.shape[:-2] + (H, W), dtype=e.dtype)
-    for kr in range(k):
-        for kc in range(k):
-            mask = arg == kr * k + kc
-            dx[..., kr : kr + R * k : k, kc : kc + C * k : k] += e * mask
+    """Route each output error to its window's ``slot``; every other input
+    gets +0.0.  Each slot view of dx is written once with
+    e * (slot == j) + 0.0, the bits of adding the masked error into zeros
+    (a -0.0 error lands as +0.0)."""
+    dx = np.empty(e.shape[:-2] + tuple(in_hw), dtype=e.dtype)
+    hit = np.empty(slot.shape, bool)
+    routed = np.empty(e.shape, e.dtype)
+    for j, view in enumerate(_pool_slots(dx, k)):
+        np.equal(slot, j, out=hit)
+        np.multiply(e, hit, out=routed)
+        np.add(routed, 0.0, out=view)
     return dx
 
 

@@ -260,10 +260,10 @@ class ReLU:
         return in_shape
 
     def forward(self, x):
-        return nn.relu_fwd(x), x
+        return nn.relu_fwd(x)
 
-    def backward(self, e, aux):
-        return nn.relu_bwd(e, aux)
+    def backward(self, e, mask):
+        return nn.relu_bwd(e, mask)
 
 
 class MaxPool:
@@ -277,12 +277,12 @@ class MaxPool:
                                      for n in in_shape[-2:])
 
     def forward(self, x):
-        out, arg = nn.maxpool_fwd(x, self.k)
-        return out, (arg, x.shape[-2:])
+        out, slot = nn.maxpool_fwd(x, self.k)
+        return out, (slot, x.shape[-2:])
 
     def backward(self, e, aux):
-        arg, in_hw = aux
-        return nn.maxpool_bwd(e, arg, in_hw, self.k)
+        slot, in_hw = aux
+        return nn.maxpool_bwd(e, slot, in_hw, self.k)
 
 
 class Flatten:
@@ -415,8 +415,9 @@ class Trainer:
     def forward_pass(self, x, y):
         """Returns (per-sample caches, per-sample LossBreakdown list).
 
-        Activations feeding the gradient stage are retained; the drawn
-        counts are not (SHIFT) or go to ``step_log`` (STORE).
+        What backward reads is retained: each Bayesian layer's input, a
+        ReLU's bool mask and a pool's slot indices (1 byte per element);
+        the drawn counts are not (SHIFT) or go to ``step_log`` (STORE).
         """
         cfg = self.cfg
         self.step_log = {}
@@ -440,11 +441,11 @@ class Trainer:
             p_r = 0.0
             for lid, layer in enumerate(self.model.layers):
                 if layer.kind in BAYES_KINDS:
-                    counts = self._draw_counts(i, lid, layer)
-                    # eps, then w = mu + eps * sigma over it, in w's buffer
+                    # eps, then w = mu + eps * sigma over it, in w's buffer;
+                    # the counts are dropped once read
                     shape = layer.mu.shape
-                    eps = counts_to_eps(counts.reshape(shape), self.n,
-                                        out=_front(self._w_buf, shape))
+                    eps = counts_to_eps(self._draw_counts(i, lid, layer).reshape(shape),
+                                        self.n, out=_front(self._w_buf, shape))
                     p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
                     w = np.multiply(eps, layer.sigma, out=eps)
                     w += layer.mu
@@ -473,7 +474,8 @@ class Trainer:
         streams sit exactly at their pre-step positions.  The pass ends
         at the first Bayesian layer, which computes only its weight
         gradient: no parameter lies below it, so the input errors would
-        be thrown away.
+        be thrown away.  A layer's counts and likelihood gradient are
+        dropped before the layer below makes its own.
         """
         cfg = self.cfg
         accum = self._accum
@@ -485,10 +487,9 @@ class Trainer:
                 layer = self.model.layers[lid]
                 payload = layer_cache[lid]
                 if layer.kind in BAYES_KINDS:
-                    counts = self._retrieve_counts(i, lid, layer)
                     shape = layer.mu.shape
-                    eps = counts_to_eps(counts.reshape(shape), self.n,
-                                        out=_front(self._eps_buf, shape))
+                    eps = counts_to_eps(self._retrieve_counts(i, lid, layer).reshape(shape),
+                                        self.n, out=_front(self._eps_buf, shape))
                     w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, shape))
                     w += layer.mu
                     e, dw_lik = layer.backward(payload, e, w, need_dx=lid != first)
@@ -498,6 +499,7 @@ class Trainer:
                     dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg, out=w)
                     dw_prime *= cfg.kl_scale
                     dw_prime += dw_lik
+                    del dw_lik
                     update_gradients(dw_prime, eps, accum.dmu[lid], accum.dsigma[lid])
                 else:
                     e = layer.backward(e, payload)
@@ -513,9 +515,14 @@ class Trainer:
         caches, losses = self.forward_pass(x, y)
         accum = self.backward_pass(caches)
         scale = cfg.dtype(cfg.lr / cfg.S)
+        # SGD with no weight-sized temporary: the accumulators are scaled in
+        # place (the bits of scale * accum) and then subtracted
         for lid, layer in self.model.bayes_layers():
-            layer.mu -= scale * accum.dmu[lid]
-            layer.sigma -= scale * accum.dsigma[lid]
+            dmu, dsigma = accum.dmu[lid], accum.dsigma[lid]
+            dmu *= scale
+            layer.mu -= dmu
+            dsigma *= scale
+            layer.sigma -= dsigma
             np.maximum(layer.sigma, cfg.dtype(cfg.sigma_min), out=layer.sigma)
         k = len(losses)
         return LossBreakdown(

@@ -219,8 +219,10 @@ class TestAdjoints:
 class TestActivations:
     def test_relu(self):
         x = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(nn.relu_fwd(x), [0, 0, 2])
-        assert np.array_equal(nn.relu_bwd(np.ones(3), x), [0, 0, 1])
+        out, mask = nn.relu_fwd(x)
+        assert np.array_equal(out, [0, 0, 2])
+        assert np.array_equal(mask, [False, False, True])
+        assert np.array_equal(nn.relu_bwd(np.ones(3), mask), [0, 0, 1])
 
     def test_maxpool_selects_max(self):
         x = np.arange(16.0).reshape(1, 4, 4)
@@ -236,6 +238,116 @@ class TestActivations:
         # total error mass is conserved and lands only on window maxima
         assert np.isclose(dx.sum(), e.sum())
         assert np.count_nonzero(dx) <= e.size
+
+
+def bits(a):
+    """The bytes of an array, so that -0.0 differs from +0.0 and NaN payloads
+    count."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def gather_pool(x, k):
+    """Reference pool: np.argmax over each window, its elements in (kr, kc)
+    order, and the element it picks."""
+    R, C = x.shape[-2] // k, x.shape[-1] // k
+    tiles = x.reshape(x.shape[:-2] + (R, k, C, k))
+    win = np.moveaxis(tiles, -3, -2).reshape(x.shape[:-2] + (R, C, k * k))
+    arg = win.argmax(axis=-1)
+    return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], arg
+
+
+def masked_add_unpool(e, arg, in_hw, k):
+    """Reference backward: each slot's masked error added into zeros."""
+    R, C = e.shape[-2:]
+    dx = np.zeros(e.shape[:-2] + tuple(in_hw), dtype=e.dtype)
+    for kr in range(k):
+        for kc in range(k):
+            dx[..., kr : kr + R * k : k, kc : kc + C * k : k] += e * (arg == kr * k + kc)
+    return dx
+
+
+def nan_with_payload(payload, dtype=np.float32):
+    return np.array(0x7FC00000 | payload, np.uint32).view(dtype)
+
+
+class TestPoolSemantics:
+    """The slot scan follows np.argmax: ties and NaN go to the first such
+    element, and the pooled value is that element's bits."""
+
+    @pytest.mark.parametrize("window", [
+        [3.0, 3.0, 3.0, 3.0],            # all equal
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, 0.0, -0.0, 0.0],          # signed zeros tie
+        [0.0, -0.0, 0.0, -0.0],
+        [-1.0, -0.0, 0.0, -2.0],
+        [1.0, 5.0, 2.0, 5.0],            # repeated maximum
+        [5.0, 1.0, 5.0, 5.0],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [1.0, np.inf, 2.0, np.inf],
+    ])
+    def test_ties_follow_argmax(self, window):
+        x = np.array(window, np.float32).reshape(1, 1, 2, 2)
+        out, slot = nn.maxpool_fwd(x, 2)
+        ref_out, ref_arg = gather_pool(x, 2)
+        assert np.array_equal(slot, ref_arg)
+        assert bits(out) == bits(ref_out)
+
+    @pytest.mark.parametrize("positions", [(0,), (1,), (3,), (1, 2), (0, 3), (0, 1, 2, 3)])
+    def test_nan_windows_take_the_first_nan(self, positions):
+        window = np.array([1.0, 7.0, -2.0, 7.0], np.float32)
+        for n, p in enumerate(positions, 1):
+            window[p] = nan_with_payload(n)  # distinct payloads
+        x = window.reshape(1, 2, 2)
+        out, slot = nn.maxpool_fwd(x, 2)
+        ref_out, ref_arg = gather_pool(x, 2)
+        assert slot.item() == ref_arg.item() == positions[0]
+        assert bits(out) == bits(ref_out) == bits(window[positions[0]])
+
+    @pytest.mark.parametrize("k,dtype", [(2, np.float32), (3, np.float64), (4, np.float32)])
+    def test_random_maps_with_ties_and_nan(self, k, dtype):
+        rng = np.random.default_rng(k)
+        # few distinct values, so most windows hold ties; signed zeros and NaN
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan], dtype),
+                       size=(2, 3, 4 * k, 5 * k))
+        out, slot = nn.maxpool_fwd(x, k)
+        ref_out, ref_arg = gather_pool(x, k)
+        assert out.shape == slot.shape == (2, 3, 4, 5)
+        assert np.array_equal(slot, ref_arg)
+        assert bits(out) == bits(ref_out)
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_slot_and_relu_mask_take_one_byte(self, k):
+        x = np.random.default_rng(0).standard_normal((2, 3, 2 * k, 2 * k)).astype(np.float32)
+        _, slot = nn.maxpool_fwd(x, k)
+        assert slot.dtype == np.uint8
+        _, mask = nn.relu_fwd(x)
+        assert mask.dtype == np.bool_ and mask.itemsize == 1
+        assert mask.nbytes == x.size
+
+    def test_slot_widens_past_sixteen(self):
+        # 17 * 17 - 1 = 288 slots do not fit a byte
+        _, slot = nn.maxpool_fwd(np.zeros((1, 17, 17), np.float32), 17)
+        assert slot.dtype == np.uint16 and slot.item() == 0
+
+    def test_shape_errors(self):
+        with pytest.raises(nn.ShapeMismatch):
+            nn.maxpool_fwd(np.zeros((1, 5, 4), np.float32), 2)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_backward_bits_equal_masked_add_into_zeros(self, k):
+        rng = np.random.default_rng(10 + k)
+        x = rng.choice(np.array([-1.0, 0.0, 1.0, 2.0], np.float32), size=(2, 3, 3 * k, 4 * k))
+        _, slot = nn.maxpool_fwd(x, k)
+        # -0.0 errors land as +0.0 in the reference; inf errors make NaN
+        # wherever they are masked out (inf * 0)
+        e = rng.choice(np.array([-0.0, 0.0, -1.5, 3.0, np.inf, -np.inf], np.float32),
+                       size=slot.shape)
+        with np.errstate(invalid="ignore"):
+            dx = nn.maxpool_bwd(e, slot, x.shape[-2:], k)
+            ref = masked_add_unpool(e, slot, x.shape[-2:], k)
+        assert dx.dtype == ref.dtype and dx.shape == x.shape
+        assert bits(dx) == bits(ref)
+        assert not np.signbit(dx[dx == 0]).any()
 
 
 class TestSoftmaxXent:

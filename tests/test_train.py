@@ -255,6 +255,33 @@ class TestForwardPass:
             assert l.total == l.likelihood_nll + l.log_posterior + l.neg_log_prior
 
 
+class TestStepFootprint:
+    """tracemalloc peak of one steady S=8 SHIFT step at batch 8.  Backward
+    reads only 1-byte ReLU masks and pool slots, and each layer's counts and
+    likelihood gradient are dropped before the next layer makes its own:
+    1.33 MiB (b-lenet) and 1.46 MiB (b-mlp).  Caching the ReLU inputs and
+    the intp argmax read 3.24 MiB (b-lenet); keeping either the counts or
+    the likelihood gradient of the layer above reads 2.07 MiB (b-mlp)."""
+
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.6), ("b-mlp", 1.8)])
+    def test_shift_step_peak(self, name, bound_mib):
+        model = MODEL_BUILDERS[name]()
+        rng = np.random.default_rng(0)
+        x = rng.random((16,) + model.feed_shape, dtype=np.float32)
+        y = np.arange(16) % 10
+        cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy="shift")
+        model.init_params(cfg)
+        trainer = Trainer(model, cfg)
+        trainer.train_step(x[:8], y[:8])  # warm-up
+        tracemalloc.start()
+        try:
+            trainer.train_step(x[8:], y[8:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
+
+
 class TestStreams:
     def test_positions_restored_after_step(self):
         x, y = synthetic_batch()
