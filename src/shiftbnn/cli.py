@@ -7,14 +7,15 @@ that table, so an unknown key or an out-of-range value exits 2 with an
 ``error:`` line.  Precedence is flags > config file > defaults.  The config
 file is flat ``key = value`` text; keys use the same names as the long
 flags with dashes replaced by underscores.  Every command is deterministic
-given its flags: all randomness flows from --seed.  The checkpoint bytes
-of ``train`` also depend on the BLAS summation order, so they repeat only
-for a fixed ``OPENBLAS_NUM_THREADS``.
+given its flags: all randomness flows from --seed, and ``main`` runs
+numpy's OpenBLAS on one thread, so sums come out the same whatever
+``OPENBLAS_NUM_THREADS`` says.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -394,6 +395,15 @@ def run_cost_report(settings: dict) -> int:
     return 0
 
 
+def selftest_moments(seed: int) -> tuple[float, float, bool]:
+    """Mean and variance of the first 200,000 draws of ``seed``'s stream, and
+    whether rng-selftest accepts them."""
+    stream = grng.grng_init(seed, 0, lfsr.TapSet.default(256))
+    eps = grng.counts_to_eps(stream.generate_block(200_000), 256)
+    mean, var = float(eps.mean()), float(eps.var())
+    return mean, var, abs(mean) < 0.05 and 0.9 < var < 1.1
+
+
 def run_rng_selftest(settings: dict) -> int:
     failures = 0
 
@@ -435,10 +445,7 @@ def run_rng_selftest(settings: dict) -> int:
     failures += 0 if trip_ok else 1
 
     # moments of a large forward block
-    stream = grng.grng_init(settings["seed"], 0, lfsr.TapSet.default(256))
-    eps = grng.counts_to_eps(stream.generate_block(200_000), 256)
-    mean, var = float(eps.mean()), float(eps.var())
-    moments_ok = abs(mean) < 0.05 and 0.9 < var < 1.1
+    mean, var, moments_ok = selftest_moments(settings["seed"])
     print(f"moments: mean={mean:+.4f} var={var:.4f} "
           f"{'ok' if moments_ok else 'FAIL'}")
     failures += 0 if moments_ok else 1
@@ -471,7 +478,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread.  With more, a matmul's
+    summation order, and with it the bytes ``train`` writes, depends on the
+    thread count."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*"):
+        pin = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if pin is not None:
+            pin(1)
+            return
+    print("warning: numpy's bundled OpenBLAS not found; results may depend on "
+          "OPENBLAS_NUM_THREADS", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         settings = resolve(args)

@@ -25,15 +25,24 @@ class ZeroSeed(ValueError):
     """The all-zero register content is a fixed point and cannot be seeded."""
 
 
-#: Known maximal-length tap sets, register-index form (tail n always included).
-#: Widths <= 24 are re-verified by brute force in the test suite; the 256-bit
-#: set is the published 4-tap maximal configuration.
+class UnfactoredWidth(ValueError):
+    """``is_maximal`` has no prime factors of 2^n - 1 for this width."""
+
+
+#: Maximal-length tap sets, register-index form; the tests prove each with is_maximal.
 DEFAULT_TAPS = {
     8: (4, 5, 6, 8),
     12: (1, 4, 6, 12),
     16: (11, 13, 14, 16),
     24: (17, 22, 23, 24),
     256: (246, 251, 254, 256),
+}
+
+#: The distinct primes dividing 2^n - 1 for every width in DEFAULT_TAPS.
+ORDER_PRIMES = {
+    8: (3, 5, 17), 12: (3, 5, 7, 13), 16: (3, 5, 17, 257), 24: (3, 5, 7, 13, 17, 241),
+    256: (3, 5, 17, 257, 641, 65537, 274177, 6700417, 67280421310721,
+          59649589127497217, 5704689200685129054721),
 }
 
 
@@ -72,6 +81,11 @@ class TapSet:
     def mask(self) -> int:
         """Bitmask with a 1 at every tap register (R_1 = MSB convention)."""
         return sum(1 << (self.width - t) for t in self.taps)
+
+    @property
+    def poly(self) -> int:
+        """Characteristic polynomial x^n + sum of x^(n-j) over taps j; bit i is x^i."""
+        return (1 << self.width) | self.mask
 
 
 @dataclass(frozen=True)
@@ -338,48 +352,33 @@ def orbit_period(taps: TapSet, seed: int = 1) -> int:
             raise RuntimeError("orbit longer than state space; broken recurrence")
 
 
-def transition_matrix(taps: TapSet) -> np.ndarray:
-    """GF(2) next-state matrix M with state as the R_1..R_n column vector."""
-    n = taps.width
-    m = np.zeros((n, n), dtype=np.uint8)
-    for t in taps.taps:
-        m[0, t - 1] = 1  # new R_1 = XOR of taps
-    for i in range(1, n):
-        m[i, i - 1] = 1  # R_{i+1} <- R_i
-    return m
+def poly_mulmod(a: int, b: int, p: int) -> int:
+    """a(x) * b(x) mod p(x) over GF(2), on ints with bit i for x^i; deg a < deg p."""
+    top, r = 1 << (p.bit_length() - 1), 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+        if a & top:
+            a ^= p
+    return r
 
 
-def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float64 products are exact for n < 2^53 and run on BLAS
-    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
-
-
-def gf2_matpow(m: np.ndarray, e: int) -> np.ndarray:
-    result = np.eye(m.shape[0], dtype=np.uint8)
-    base = m
-    while e:
-        if e & 1:
-            result = _gf2_matmul(result, base)
-        base = _gf2_matmul(base, base)
-        e >>= 1
-    return result
+def x_pow_mod(e: int, p: int) -> int:
+    """x^e mod p(x) over GF(2), by square-and-multiply."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = poly_mulmod(r, r << int(bit), p)
+    return r
 
 
 def is_maximal(taps: TapSet) -> bool:
-    """Whether the nonzero orbit has the full period 2^n - 1.
-
-    Uses the standard divisor test: the period divides 2^n - 1, so the
-    tap set is maximal iff M^(2^n - 1) = I and M^((2^n - 1)/p) != I for
-    every prime factor p.  Factoring 2^n - 1 needs sympy, imported lazily.
-    """
-    from sympy import factorint
-
-    n = taps.width
+    """Whether the nonzero orbit has the full period 2^n - 1, the order of x
+    modulo ``taps.poly``: x^(2^n - 1) = 1 and x^((2^n - 1)/q) != 1 for every
+    prime q | 2^n - 1 in ``ORDER_PRIMES``."""
+    n, p = taps.width, taps.poly
+    if n not in ORDER_PRIMES:
+        raise UnfactoredWidth(f"no prime factors of 2^{n} - 1 on record")
     order = (1 << n) - 1
-    m = transition_matrix(taps)
-    eye = np.eye(n, dtype=np.uint8)
-    if not np.array_equal(gf2_matpow(m, order), eye):
-        return False
-    return all(
-        not np.array_equal(gf2_matpow(m, order // p), eye) for p in factorint(order)
-    )
+    return x_pow_mod(order, p) == 1 and all(
+        x_pow_mod(order // q, p) != 1 for q in ORDER_PRIMES[n])

@@ -1,5 +1,10 @@
 """Register-level shift/reverse behavior and tap-set validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +13,14 @@ from hypothesis import strategies as st
 from shiftbnn import lfsr
 from shiftbnn.lfsr import (
     DEFAULT_TAPS,
+    ORDER_PRIMES,
     InvalidTaps,
     TapSet,
+    UnfactoredWidth,
     ZeroSeed,
     backward_span,
     extend_backward,
     extend_forward,
-    gf2_matpow,
     is_maximal,
     new_lfsr,
     orbit_period,
@@ -22,8 +28,8 @@ from shiftbnn.lfsr import (
     shift_forward,
     shift_reverse,
     state_to_window,
-    transition_matrix,
     window_to_state,
+    x_pow_mod,
 )
 
 #: per-sample noise segment sizes of b-mlp (fc1 first) and b-lenet
@@ -37,6 +43,53 @@ def block_sizes(n: int) -> list[int]:
     edges = {(n << j) + d for j in range(SEGMENT_SIZES[0].bit_length())
              if n << j <= SEGMENT_SIZES[0] for d in (-1, 0, 1)}
     return sorted(edges | set(SEGMENT_SIZES))
+
+
+def stream_of(windows: np.ndarray, taps: TapSet) -> np.ndarray:
+    """s[p : p+2n) for each row's window s[p : p+n); the last n bits come
+    from single ``shift_forward`` steps."""
+    n = taps.width
+    stream = np.concatenate([windows, np.empty_like(windows)], axis=1)
+    for row in stream:
+        state = window_to_state(row[:n], taps, 0)
+        for i in range(n, 2 * n):
+            state, row[i], _ = shift_forward(state)
+    return stream
+
+
+def jump(stream: np.ndarray, k: int, taps: TapSet) -> np.ndarray:
+    """The window k shifts on, s[p+k : p+k+n), from s[p : p+2n): with
+    x^k mod p(x) = sum of c_i x^i, it is the XOR of s[p+i : p+i+n) over
+    c_i = 1.  This is M^k for the register's companion matrix M."""
+    n, c = taps.width, x_pow_mod(k, taps.poly)
+    windows = np.lib.stride_tricks.sliding_window_view(stream, n, axis=-1)
+    return np.bitwise_xor.reduce(windows[:, [i for i in range(n) if c >> i & 1]], axis=1)
+
+
+#: deterministic Miller-Rabin with the first 13 prime bases is exact below
+#: this bound (Sorenson and Webster, Math. Comp. 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact for m < ``MR_EXACT_BELOW``."""
+    if m < 2 or any(m % a == 0 for a in MR_BASES):
+        return m in MR_BASES
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestTapSet:
@@ -200,14 +253,15 @@ class TestBulkEngine:
     def test_every_scale_against_matrix_power(self, taps):
         """Every block size the scaled recurrences see in training, and both
         sides of each point where the scale 2^j changes: the forward register
-        equals M^k applied to the start register, and extending backward
-        then forward gives back the same bits.  Written into a caller's
-        buffer that is longer than needed and holds the previous block's
-        bits, both directions return the bits of a fresh call."""
+        equals M^k applied to the start register, taken as the jump x^k mod
+        p(x), and extending backward then forward gives back the same bits.
+        Written into a caller's buffer that is longer than needed and holds
+        the previous block's bits, both directions return the bits of a
+        fresh call."""
         n = taps.width
         rng = np.random.default_rng(n)
         window = rng.integers(0, 2, size=(3, n), dtype=np.uint8)
-        m = transition_matrix(taps)
+        stream = stream_of(window, taps)
         sizes = block_sizes(n)
         # backward_span(k) >= n + k covers the forward need too
         longest = max(backward_span(k, taps) for k in sizes)
@@ -215,9 +269,7 @@ class TestBulkEngine:
         for k in sizes:
             ext = extend_forward(window, k, taps)
             final = np.concatenate([window, ext], axis=1)[:, -n:]
-            # R_1..R_n is the window read from its end
-            expect = gf2_matpow(m, k).astype(np.int64) @ window[:, ::-1].T % 2
-            assert np.array_equal(final[:, ::-1], expect.T), k
+            assert np.array_equal(final, jump(stream, k, taps)), k
             back = extend_backward(window, k, taps)
             full = np.concatenate([back, window], axis=1)
             assert np.array_equal(extend_forward(full[:, :n], k, taps), full[:, n:]), k
@@ -280,28 +332,83 @@ class TestMaximality:
     def test_default_taps_full_period_brute_force(self, width):
         assert orbit_period(TapSet.default(width)) == (1 << width) - 1
 
-    @pytest.mark.parametrize("width", [8, 12, 16, 24])
+    @pytest.mark.parametrize("width", sorted(DEFAULT_TAPS))
     def test_divisor_test_agrees(self, width):
         assert is_maximal(TapSet.default(width))
 
     def test_divisor_test_rejects_non_maximal(self):
         # x^8 + x^4 + 1 style taps split the state space into short orbits
         assert not is_maximal(TapSet(8, (4, 8)))
+        # verify-equivalence's wrong-tap control
+        assert not is_maximal(TapSet(256, (1, 2, 3, 256)))
 
-    def test_transition_matrix_one_step(self):
-        ts = TapSet.default(8)
-        s = new_lfsr(8, ts, 0b1011_0010)
-        vec = np.array([s.register(i) for i in range(1, 9)], dtype=np.uint8)
-        m = transition_matrix(ts)
-        nxt, _, _ = shift_forward(s)
-        expect = np.array([nxt.register(i) for i in range(1, 9)], dtype=np.uint8)
-        assert np.array_equal((m @ vec) % 2, expect)
+    def test_width_without_factors_rejected(self):
+        with pytest.raises(UnfactoredWidth, match="2\\^13 - 1"):
+            is_maximal(TapSet(13, (1, 3, 4, 13)))
 
-    def test_matrix_power_order(self):
+    def test_poly_one_step(self):
+        """x^n mod p(x) is the feedback: with the state's bit i holding
+        s[p+i], the head bit is the parity of the state AND x^n mod p(x)."""
         ts = TapSet.default(8)
-        m = transition_matrix(ts)
-        assert np.array_equal(gf2_matpow(m, 255), np.eye(8, dtype=np.uint8))
-        assert not np.array_equal(gf2_matpow(m, 85), np.eye(8, dtype=np.uint8))
+        feedback = x_pow_mod(8, ts.poly)
+        assert feedback == ts.mask
+        for seed in range(1, 256):
+            _, head_in, _ = shift_forward(new_lfsr(8, ts, seed))
+            assert head_in == (seed & feedback).bit_count() & 1
+
+    def test_poly_power_order(self):
+        ts = TapSet.default(8)
+        assert x_pow_mod(255, ts.poly) == 1
+        assert x_pow_mod(85, ts.poly) != 1
+
+    def test_jump_matches_single_shifts(self):
+        """From every nonzero width-8 register, the jump by k equals k
+        single shifts for every k < 255."""
+        ts = TapSet.default(8)
+        states = [new_lfsr(8, ts, seed) for seed in range(1, 256)]
+        stream = stream_of(np.stack([state_to_window(s) for s in states]), ts)
+        for k in range(255):
+            assert np.array_equal(jump(stream, k, ts),
+                                  np.stack([state_to_window(s) for s in states])), k
+            states = [shift_forward(s)[0] for s in states]
+
+
+class TestOrderPrimes:
+    """``ORDER_PRIMES`` is checked, not trusted."""
+
+    def test_every_shipped_width_has_primes(self):
+        assert set(ORDER_PRIMES) == set(DEFAULT_TAPS)
+
+    @pytest.mark.parametrize("width", sorted(ORDER_PRIMES))
+    def test_primes_factor_the_order(self, width):
+        order = rest = (1 << width) - 1
+        for q in ORDER_PRIMES[width]:
+            assert order % q == 0, q
+            assert q < MR_EXACT_BELOW and is_prime(q), q
+            while rest % q == 0:
+                rest //= q
+        assert rest == 1
+
+    def test_miller_rabin_against_trial_division(self):
+        sieve = [m for m in range(2, 5_000) if all(m % d for d in range(2, int(m ** 0.5) + 1))]
+        assert [m for m in range(5_000) if is_prime(m)] == sieve
+        # strong pseudoprimes to bases 2, 3, 5 and 7, and a product of two
+        # of the 256-bit primes
+        for composite in (3_215_031_751, 641 * 6_700_417, 274_177 * 67_280_421_310_721):
+            assert not is_prime(composite), composite
+
+
+def test_is_maximal_does_not_import_sympy():
+    code = ("import sys\n"
+            "from shiftbnn.lfsr import DEFAULT_TAPS, TapSet, is_maximal\n"
+            "assert all(is_maximal(TapSet.default(w)) for w in DEFAULT_TAPS)\n"
+            "print('sympy' in sys.modules)\n")
+    src = str(Path(lfsr.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_popcount_oracle():
