@@ -42,7 +42,10 @@ exact in float32, every square is a multiple of 1/64 of at most 256, and
 no partial sum of a layer comes near 2^53 / 64, so it equals the integer
 formula in any order.  The backward pass forms dw' and the (dmu,
 dsigma) updates with in-place operations whose bits equal the plain
-expressions.
+expressions, one block of the likelihood weight gradient at a time: an
+fc layer hands it out about ``GRAD_BLOCK`` (32 Ki) weights at a time,
+a block of whole rows, so no fc gradient exists at full size; a conv
+layer's is one block.
 
 Note on pattern reuse: because SHIFT ends every step with the streams
 restored to their pre-step state (that is what reversal means), the next
@@ -189,6 +192,11 @@ def log_sum(a: np.ndarray, buf: np.ndarray) -> float:
 # -- layers ------------------------------------------------------------------
 
 
+#: likelihood-gradient weights a BayesFC backward makes at a time: 41 rows of
+#: a 784-input layer (128 KiB of float32)
+GRAD_BLOCK = 1 << 15
+
+
 class BayesConv:
     kind = "conv"
 
@@ -216,12 +224,16 @@ class BayesConv:
         return nn.conv_forward(x, w, self.stride, self.pad)
 
     def backward(self, x, e, w, need_dx=True):
-        """(input errors or None when not ``need_dx``, likelihood dw)."""
+        """(input errors or None when not ``need_dx``, likelihood dw blocks).
+
+        A conv gradient is small (at most 2,400 weights in the built-in
+        networks), so it is one block: ``[(slice(None), dw)]``.
+        """
         dx = None
         if need_dx:
             dx = nn.conv_backward_data(e, w, x.shape[-2:], self.stride, self.pad)
-        dw = nn.conv_backward_weights(x, e, self.K, self.stride, self.pad)
-        return dx, dw
+        return dx, [(slice(None), nn.conv_backward_weights(x, e, self.K, self.stride,
+                                                           self.pad))]
 
 
 class BayesFC:
@@ -248,9 +260,26 @@ class BayesFC:
         return nn.fc_forward(x, w)
 
     def backward(self, x, e, w, need_dx=True):
-        """(input errors or None when not ``need_dx``, likelihood dw)."""
+        """(input errors or None when not ``need_dx``, likelihood dw blocks).
+
+        dx is made at once, since it reads all of w.  The blocks are
+        (row slice, dw rows) pairs of about ``GRAD_BLOCK`` weights, each
+        made only when the consumer asks for the next, so no full-size dw
+        exists.  Each block reduces over the batch axis alone, so it holds
+        the bits of those rows of the whole product.  A block has two rows
+        at least (unless the layer has one): numpy hands a one-row product
+        to gemv or dot, whose sums can round differently from gemm's.
+        """
         dx = nn.fc_backward_data(e, w) if need_dx else None
-        return dx, nn.fc_backward_weights(x, e)
+        return dx, self._weight_grad_blocks(x, e)
+
+    def _weight_grad_blocks(self, x, e):
+        step = max(2, GRAD_BLOCK // self.n_in)
+        lo = 0
+        # a one-row tail joins the block before it
+        for hi in [*range(step, self.n_out - 1, step), self.n_out]:
+            yield slice(lo, hi), nn.fc_backward_weights(x, e[..., lo:hi])
+            lo = hi
 
 
 class ReLU:
@@ -474,8 +503,13 @@ class Trainer:
         streams sit exactly at their pre-step positions.  The pass ends
         at the first Bayesian layer, which computes only its weight
         gradient: no parameter lies below it, so the input errors would
-        be thrown away.  A layer's counts and likelihood gradient are
-        dropped before the layer below makes its own.
+        be thrown away.  A layer's counts are dropped before the layer
+        below draws its own.  Its likelihood weight gradient comes from its
+        ``backward`` call a block of rows at a time (after the input
+        errors, which read all of w), and each block becomes its rows of
+        dw' and of the (dmu, dsigma) sums before the next is made.  No
+        other layer is called in between, so a tracer that credits time to
+        the layer called last credits the blocks to their own layer.
         """
         cfg = self.cfg
         accum = self._accum
@@ -492,15 +526,20 @@ class Trainer:
                                         self.n, out=_front(self._eps_buf, shape))
                     w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, shape))
                     w += layer.mu
-                    e, dw_lik = layer.backward(payload, e, w, need_dx=lid != first)
-                    # dw' = dw_lik + kl_scale * dpu_grad, one in-place
-                    # operation at a time (each commutes, so the bits match),
-                    # in w's buffer: w is not read again
-                    dw_prime = dpu_grad(w, layer.mu, layer.sigma, eps, cfg, out=w)
-                    dw_prime *= cfg.kl_scale
-                    dw_prime += dw_lik
-                    del dw_lik
-                    update_gradients(dw_prime, eps, accum.dmu[lid], accum.dsigma[lid])
+                    e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
+                    # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
+                    # and one in-place operation at a time (each commutes,
+                    # so the bits match), in w's buffer: backward has read
+                    # all of w, and a block's rows are not read again
+                    for rows, dw_lik in dw_blocks:
+                        w_rows, eps_rows = w[rows], eps[rows]
+                        dw_prime = dpu_grad(w_rows, layer.mu[rows], layer.sigma[rows],
+                                            eps_rows, cfg, out=w_rows)
+                        dw_prime *= cfg.kl_scale
+                        dw_prime += dw_lik
+                        del dw_lik
+                        update_gradients(dw_prime, eps_rows,
+                                         accum.dmu[lid][rows], accum.dsigma[lid][rows])
                 else:
                     e = layer.backward(e, payload)
         if cfg.epsilon_strategy == "store":
@@ -540,6 +579,8 @@ class Trainer:
 
 
 # -- model presets -----------------------------------------------------------
+# A max-pool comes before its ReLU: the two commute, and the ReLU then keeps
+# a pool-sized mask, not a full-size one.
 
 
 def build_bmlp() -> Model:
@@ -554,8 +595,8 @@ def build_bmlp() -> Model:
 def build_toyconv() -> Model:
     """Small 2-conv + 1-fc net on 1x10x10 inputs; exercises every layer kind."""
     return Model([
-        BayesConv(1, 4, 3), ReLU(),      # 10 -> 8
-        MaxPool(2),                      # 8 -> 4
+        BayesConv(1, 4, 3),              # 10 -> 8
+        MaxPool(2), ReLU(),              # 8 -> 4
         BayesConv(4, 8, 3), ReLU(),      # 4 -> 2
         Flatten(),
         BayesFC(8 * 2 * 2, 10),
@@ -565,10 +606,10 @@ def build_toyconv() -> Model:
 def build_blenet() -> Model:
     """LeNet-style net for 3x32x32 inputs (CIFAR-10 scale)."""
     return Model([
-        BayesConv(3, 6, 5), ReLU(),      # 32 -> 28
-        MaxPool(2),                      # 28 -> 14
-        BayesConv(6, 16, 5), ReLU(),     # 14 -> 10
-        MaxPool(2),                      # 10 -> 5
+        BayesConv(3, 6, 5),              # 32 -> 28
+        MaxPool(2), ReLU(),              # 28 -> 14
+        BayesConv(6, 16, 5),             # 14 -> 10
+        MaxPool(2), ReLU(),              # 10 -> 5
         Flatten(),
         BayesFC(16 * 5 * 5, 120), ReLU(),
         BayesFC(120, 84), ReLU(),

@@ -1,6 +1,7 @@
 """Traffic/footprint/latency accounting and the mapping comparator."""
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from shiftbnn.costmodel import (
     traffic_per_iteration,
     write_csv,
 )
-from shiftbnn.train import MODEL_BUILDERS
+from shiftbnn.train import MODEL_BUILDERS, TrainConfig, Trainer
 
 P = CostParams()
 
@@ -156,6 +157,25 @@ class TestFootprint:
         spec = MODEL_PRESETS["b-lenet"]
         fp = footprint(spec, 16, "store", P)
         assert fp["eps"] == 16 * spec.total_weights * P.bytes_per_value
+
+    @pytest.mark.parametrize("name,store_mib", [("b-mlp", 7.29), ("b-lenet", 0.94)])
+    def test_store_eps_equals_the_trainers_count_log(self, name, store_mib):
+        """The modelled noise residency is what an S=8 STORE forward pass
+        logs (2 bytes per count), and SHIFT logs nothing."""
+        model = MODEL_BUILDERS[name]()
+        x = np.random.default_rng(0).random((2,) + model.feed_shape, dtype=np.float32)
+        y = np.arange(2)
+        eps = footprint(spec_from_model(model), 8, "store", P)["eps"]
+        assert eps / 2 ** 20 == pytest.approx(store_mib, abs=0.005)
+        for strategy in ("store", "shift"):
+            cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy=strategy)
+            model.init_params(cfg)
+            trainer = Trainer(model, cfg)
+            trainer.forward_pass(x, y)
+            logged = sum(counts.nbytes for counts in trainer.step_log.values())
+            assert logged == (eps if strategy == "store" else 0), strategy
+            assert len(trainer.step_log) == (8 * len(model.bayes_layers())
+                                             if strategy == "store" else 0)
 
     def test_lenet_reduction_over_60_percent(self):
         spec = MODEL_PRESETS["b-lenet"]

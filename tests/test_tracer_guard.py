@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from shiftbnn import grng, nn, replay, train
-from shiftbnn.train import TrainConfig, Trainer, build_toyconv
+from shiftbnn.train import TrainConfig, Trainer, build_bmlp, build_toyconv
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -26,14 +26,27 @@ def load_tracer():
 
 
 def test_tracer_wraps_a_store_and_a_shift_step_and_restores_everything():
-    model = build_toyconv()
+    check_traced_steps(build_toyconv, (1, 10, 10))
+
+
+def test_tracer_gives_each_layer_of_an_fc_first_network_its_own_cells():
+    # the layer whose backward ran last takes the nn and gc time, so each
+    # fc layer's blocked weight gradient must stay inside its own backward
+    # call, or cell.fc3 takes fc1's and fc2's
+    check_traced_steps(build_bmlp, (784,))
+
+
+def check_traced_steps(build, example_shape):
+    """Trace one S=2 STORE and one SHIFT step: every Bayesian layer gets its
+    cells, and the package is as it was afterwards."""
+    model = build()
     model.init_params(TrainConfig(master_seed=1))
     names = {id(layer): f"layer{lid}" for lid, layer in model.bayes_layers()}
     owners = [grng, grng.GrngStream, nn, replay.GenerationLedger, train,
               train.Trainer, model] + [layer for _, layer in model.bayes_layers()]
     before = [dict(vars(owner)) for owner in owners]
     rng = np.random.default_rng(0)
-    x = rng.random((4, 1, 10, 10)).astype(np.float32)
+    x = rng.random((4,) + example_shape).astype(np.float32)
     y = rng.integers(0, 10, size=4)
 
     tracer = load_tracer().Tracer([model], names)
@@ -42,10 +55,12 @@ def test_tracer_wraps_a_store_and_a_shift_step_and_restores_everything():
             cfg = TrainConfig(S=2, master_seed=1, epsilon_strategy=strategy)
             assert math.isfinite(Trainer(model, cfg).train_step(x, y).total)
 
-    # no "bw": the first layer computes no input errors
+    # "bw" for all but the first layer, which computes no input errors
+    first = next(iter(names.values()))
     for name in names.values():
         for stage in ("draw", "fw", "retrieve", "gc", "update"):
             assert tracer.cells[(name, stage)] > 0, (name, stage)
+        assert (tracer.cells[(name, "bw")] > 0) == (name != first), name
     assert tracer.counts["lfsr.extend_backward.bits"] > 0
     for owner, namespace in zip(owners, before):
         after = vars(owner)

@@ -256,20 +256,33 @@ class TestForwardPass:
 
 
 class TestStepFootprint:
-    """tracemalloc peak of one steady S=8 SHIFT step at batch 8.  Backward
-    reads only 1-byte ReLU masks and pool slots, and each layer's counts and
-    likelihood gradient are dropped before the next layer makes its own:
-    1.33 MiB (b-lenet) and 1.46 MiB (b-mlp).  Caching the ReLU inputs and
-    the intp argmax read 3.24 MiB (b-lenet); keeping either the counts or
-    the likelihood gradient of the layer above reads 2.07 MiB (b-mlp)."""
+    """tracemalloc peak of one steady S=8 step at batch 8.  Backward reads
+    only 1-byte ReLU masks and pool slots, each layer's counts are dropped
+    before the next layer draws its own, and an fc likelihood gradient
+    exists one block of ``GRAD_BLOCK`` weights at a time.  SHIFT: 0.90 MiB
+    (b-mlp) and 1.05 MiB (b-lenet); STORE adds its count log: 7.70 and
+    2.00 MiB.  A whole fc1 likelihood gradient per sample read 1.46 MiB
+    (b-mlp SHIFT; 8.76 STORE), and a ReLU before each pool, which keeps a
+    full-size mask, 1.33 MiB (b-lenet SHIFT; 2.28 STORE).  Caching the
+    ReLU inputs and the intp argmax read 3.24 MiB (b-lenet); keeping either
+    the counts or the likelihood gradient of the layer above read 2.07 MiB
+    (b-mlp)."""
 
-    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.6), ("b-mlp", 1.8)])
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.25), ("b-mlp", 1.1)])
     def test_shift_step_peak(self, name, bound_mib):
+        self.check_step_peak(name, "shift", bound_mib)
+
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 2.1), ("b-mlp", 7.8)])
+    def test_store_step_peak(self, name, bound_mib):
+        self.check_step_peak(name, "store", bound_mib)
+
+    @staticmethod
+    def check_step_peak(name, strategy, bound_mib):
         model = MODEL_BUILDERS[name]()
         rng = np.random.default_rng(0)
         x = rng.random((16,) + model.feed_shape, dtype=np.float32)
         y = np.arange(16) % 10
-        cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy="shift")
+        cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy=strategy)
         model.init_params(cfg)
         trainer = Trainer(model, cfg)
         trainer.train_step(x[:8], y[:8])  # warm-up
@@ -515,11 +528,106 @@ class TestBackwardStopsAtFirstLayer:
         layer.init_params(np.random.default_rng(3), TrainConfig(dtype=np.float64))
         rng = np.random.default_rng(4)
         x, e = rng.standard_normal(x_shape), rng.standard_normal(e_shape)
-        dx, dw = layer.backward(x, e, layer.mu)
-        none, dw_only = layer.backward(x, e, layer.mu, need_dx=False)
+        dx, blocks = layer.backward(x, e, layer.mu)
+        none, blocks_only = layer.backward(x, e, layer.mu, need_dx=False)
         assert dx.shape == x_shape
         assert none is None
-        assert np.array_equal(dw_only, dw)
+        assert np.array_equal(_whole_gradient(layer, blocks_only),
+                              _whole_gradient(layer, blocks))
+
+
+def _whole_gradient(layer, blocks):
+    """The likelihood dw that a layer's backward blocks make up, checking
+    that they cover its rows once, in order."""
+    dw = np.empty_like(layer.mu)
+    covered = 0
+    for rows, block in blocks:
+        start, stop, _ = rows.indices(len(dw))
+        assert start == covered and stop > start
+        dw[rows] = block
+        covered = stop
+    assert covered == len(dw)
+    return dw
+
+
+def _bits(a):
+    return a.view(np.uint32)  # float32
+
+
+class TestBlockedWeightGradient:
+    """BayesFC hands out its likelihood dw a block of rows at a time; every
+    block has the bits of those rows of the whole product, and so have the
+    (dmu, dsigma) the trainer builds from them."""
+
+    # (n_in, n_out, example shape, rows of each block): 1000 inputs make
+    # 32-row blocks, so 70 rows end in a 6-row block, and 65 rows in a
+    # 33-row one (no one-row tail); 20 x 10 is smaller than one block;
+    # 1-D examples take np.outer; 40,000 inputs make two rows a block
+    CASES = [
+        (1000, 70, (8, 1000), [32, 32, 6]),
+        (1000, 65, (8, 1000), [32, 33]),
+        (20, 10, (8, 20), [10]),
+        (1000, 70, (1000,), [32, 32, 6]),
+        (40000, 5, (2, 40000), [2, 3]),
+    ]
+
+    @pytest.mark.parametrize("n_in,n_out,x_shape,block_rows", CASES)
+    def test_blocks_equal_the_whole_product(self, n_in, n_out, x_shape, block_rows):
+        layer = BayesFC(n_in, n_out)
+        layer.init_params(np.random.default_rng(1), TrainConfig())
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        e = rng.standard_normal(x_shape[:-1] + (n_out,)).astype(np.float32)
+        _, blocks = layer.backward(x, e, layer.mu, need_dx=False)
+        blocks = list(blocks)
+        assert [len(block) for _, block in blocks] == block_rows
+        assert np.array_equal(_bits(_whole_gradient(layer, blocks)),
+                              _bits(nn.fc_backward_weights(x, e)))
+
+    @pytest.mark.parametrize("grad_mode", ["paper", "exact"])
+    @pytest.mark.parametrize("n_in,n_out,x_shape,block_rows", CASES[:4])
+    def test_accumulators_equal_the_unblocked_formula(self, n_in, n_out, x_shape,
+                                                      block_rows, grad_mode):
+        cfg = TrainConfig(S=3, master_seed=5, grad_mode=grad_mode, kl_scale=0.25,
+                          sigma_init=0.05, epsilon_strategy="store")
+        model = Model([BayesFC(n_in, n_out)], name="fc", input_shape=(n_in,))
+        model.init_params(cfg)
+        layer = model.layers[0]
+        rng = np.random.default_rng(6)
+        x = rng.random(x_shape, dtype=np.float32)
+        y = rng.integers(0, n_out, size=x_shape[:-1])
+        trainer = Trainer(model, cfg)
+        caches, _ = trainer.forward_pass(x, y)
+        # the whole-layer formula, from the logged counts
+        dmu, dsigma = np.zeros_like(layer.mu), np.zeros_like(layer.sigma)
+        for i, (layer_cache, e) in enumerate(caches):
+            eps = counts_to_eps(trainer.step_log[(i, 0)].reshape(layer.mu.shape),
+                                trainer.n, out=np.empty_like(layer.mu))
+            w = eps * layer.sigma + layer.mu
+            dw_prime = (dpu_grad(w, layer.mu, layer.sigma, eps, cfg) * cfg.kl_scale
+                        + nn.fc_backward_weights(layer_cache[0], e))
+            update_gradients(dw_prime, eps, dmu, dsigma)
+        accum = trainer.backward_pass(caches)
+        assert np.array_equal(_bits(accum.dmu[0]), _bits(dmu))
+        assert np.array_equal(_bits(accum.dsigma[0]), _bits(dsigma))
+
+    def test_fc1_backward_makes_no_weight_sized_array(self):
+        layer = BayesFC(784, 400)
+        layer.init_params(np.random.default_rng(1), TrainConfig())
+        rng = np.random.default_rng(2)
+        x = rng.random((8, 784), dtype=np.float32)
+        e = rng.standard_normal((8, 400)).astype(np.float32)
+        w = layer.mu
+        tracemalloc.start()
+        try:
+            dx, blocks = layer.backward(x, e, w)
+            for rows, block in blocks:
+                del block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 41-row block is a tenth of w's 1.2 MiB
+        assert peak < w.nbytes // 4, peak
 
 
 def _run_strategy(strategy, steps=5):
