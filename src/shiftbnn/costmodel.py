@@ -1,12 +1,13 @@
 """Analytic off-chip traffic, footprint, latency and energy model.
 
 Compares the two noise-handling strategies on network presets.  b-mlp
-and b-lenet are read from the trainer's own networks
-(``spec_from_model``); alexnet, vgg and resnet, which have no trainer,
-are written out by layer.  STORE writes every per-weight Gaussian draw
-off-chip during the forward pass and reads it back for the fused
-backward/gradient pass; SHIFT regenerates the draws on chip by reversing
-the generator, so its noise traffic is exactly zero.  Everything else (parameter and feature-map
+and b-lenet are read from the trainer's own networks, and b-vgg from a
+network of the trainer's layers that only the cost model builds (all by
+``spec_from_model``); alexnet and resnet are written out by layer.
+STORE writes every per-weight Gaussian draw off-chip during the forward
+pass and reads it back for the fused backward/gradient pass; SHIFT
+regenerates the draws on chip by reversing the generator, so its noise
+traffic is exactly zero.  Everything else (parameter and feature-map
 movement, MAC counts) is identical between the strategies.
 
 Accounting rules, per layer l with |W_l| weights and D_l output values,
@@ -123,20 +124,20 @@ def spec_from_model(model: train.Model) -> ModelSpec:
     return ModelSpec(model.name, tuple(layers))
 
 
-def _vgg16_layers() -> tuple[LayerCost, ...]:
-    cfg = [(64, 224), (64, 224), (128, 112), (128, 112),
-           (256, 56), (256, 56), (256, 56),
-           (512, 28), (512, 28), (512, 28),
-           (512, 14), (512, 14), (512, 14)]
-    layers = []
-    n_in = 3
-    for i, (m, hw) in enumerate(cfg):
-        layers.append(conv_cost(f"conv{i + 1}", n_in, m, 3, hw))
-        n_in = m
-    layers.append(fc_cost("fc1", 512 * 7 * 7, 4096))
-    layers.append(fc_cost("fc2", 4096, 4096))
-    layers.append(fc_cost("fc3", 4096, 1000))
-    return tuple(layers)
+def _build_vgg16() -> train.Model:
+    """VGG-16 for 3x224x224 inputs: five blocks of same-padded 3x3 convs,
+    each block halved by a max-pool, then three fc layers.  Its 138 M
+    weights are for the cost model only; ``train.MODEL_BUILDERS`` leaves it
+    out, so ``train`` does not take it."""
+    layers, n_in = [], 3
+    for block in ((64,) * 2, (128,) * 2, (256,) * 3, (512,) * 3, (512,) * 3):
+        for m in block:
+            layers += [train.BayesConv(n_in, m, 3, 1, 1), train.ReLU()]
+            n_in = m
+        layers.insert(-1, train.MaxPool(2))  # before the block's last ReLU
+    layers += [train.Flatten(), train.BayesFC(512 * 7 * 7, 4096), train.ReLU(),
+               train.BayesFC(4096, 4096), train.ReLU(), train.BayesFC(4096, 1000)]
+    return train.Model(layers, name="b-vgg", input_shape=(3, 224, 224))
 
 
 def _resnet18_layers() -> tuple[LayerCost, ...]:
@@ -167,7 +168,7 @@ MODEL_PRESETS = {
         fc_cost("fc2", 4096, 4096),
         fc_cost("fc3", 4096, 1000),
     )),
-    "b-vgg": ModelSpec("b-vgg", _vgg16_layers()),
+    "b-vgg": spec_from_model(_build_vgg16()),
     "b-resnet": ModelSpec("b-resnet", _resnet18_layers()),
 }
 

@@ -72,7 +72,10 @@ from .data import read_exact
 from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
 
-SIGMA_MIN_DEFAULT = 1e-6
+#: stddev of the zero-mean Gaussian prior on every weight
+SIGMA_PRIOR = 0.5
+#: floor of sigma after each update: SGD on sigma itself can cross zero
+SIGMA_MIN = 1e-6
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
@@ -80,13 +83,11 @@ LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 class TrainConfig:
     S: int = 1  # ensemble samples per step
     lr: float = 1e-3
-    sigma_prior: float = 0.5  # zero-mean Gaussian prior stddev
     batch: int = 1
-    grad_mode: str = "paper"  # "paper" (w / sigma_prior^2) | "exact"
+    grad_mode: str = "paper"  # "paper" (w / SIGMA_PRIOR^2) | "exact"
     epsilon_strategy: str = "shift"  # "shift" | "store"
     master_seed: int = 0
     kl_scale: float = 1.0  # weight of the prior+posterior terms per step
-    sigma_min: float = SIGMA_MIN_DEFAULT
     # consecutive draws from one stream are strongly correlated (each shift
     # replaces one bit of the counting window), so per-row noise adds almost
     # coherently; a small initial sigma keeps early activations bounded
@@ -98,8 +99,6 @@ class TrainConfig:
             raise ValueError(f"S must be >= 1, got {self.S}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.sigma_prior <= 0:
-            raise ValueError(f"sigma_prior must be > 0, got {self.sigma_prior}")
         if self.grad_mode not in ("paper", "exact"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         if self.epsilon_strategy not in ("shift", "store"):
@@ -129,12 +128,12 @@ class LossBreakdown:
 def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig, out=None):
     """d(posterior + prior terms)/dw for one sampled weight.
 
-    "paper" mode keeps only the dominant prior part w / sigma_prior^2
-    (a 2-bit left shift when sigma_prior = 0.5); "exact" mode adds the
+    "paper" mode keeps only the dominant prior part w / SIGMA_PRIOR^2
+    (a 2-bit left shift, SIGMA_PRIOR being 0.5); "exact" mode adds the
     posterior's through-w derivative -eps / sigma.  ``out`` (which may
     be ``w``) receives the result; exact mode still makes one temporary.
     """
-    g = np.divide(w, cfg.sigma_prior ** 2, out=out)
+    g = np.divide(w, SIGMA_PRIOR ** 2, out=out)
     if cfg.grad_mode == "exact":
         g -= eps / sigma
     return g
@@ -197,24 +196,33 @@ def log_sum(a: np.ndarray, buf: np.ndarray) -> float:
 GRAD_BLOCK = 1 << 15
 
 
-class BayesConv:
-    kind = "conv"
+class BayesLayer:
+    """(mu, sigma) of one weight array of shape ``weight_shape``, output axis
+    first.  ``init_params`` draws mu from N(0, 1 / fan_in), fan_in being
+    every other axis, and sets sigma to ``cfg.sigma_init``."""
 
-    def __init__(self, n_in: int, m_out: int, k: int, stride: int = 1, pad: int = 0):
-        self.N, self.M, self.K = n_in, m_out, k
-        self.stride, self.pad = stride, pad
-        self.mu = None
-        self.sigma = None
+    def __init__(self, weight_shape: tuple[int, ...]):
+        self.weight_shape = weight_shape
+        self.mu = self.sigma = None
 
     @property
     def weight_count(self) -> int:
-        return self.M * self.N * self.K * self.K
+        return math.prod(self.weight_shape)
 
     def init_params(self, rng: np.random.Generator, cfg: TrainConfig):
-        fan_in = self.N * self.K * self.K
-        shape = (self.M, self.N, self.K, self.K)
+        shape = self.weight_shape
+        fan_in = math.prod(shape[1:])
         self.mu = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(cfg.dtype)
         self.sigma = np.full(shape, cfg.sigma_init, dtype=cfg.dtype)
+
+
+class BayesConv(BayesLayer):
+    kind = "conv"
+
+    def __init__(self, n_in: int, m_out: int, k: int, stride: int = 1, pad: int = 0):
+        super().__init__((m_out, n_in, k, k))
+        self.N, self.M, self.K = n_in, m_out, k
+        self.stride, self.pad = stride, pad
 
     def out_shape(self, in_shape):
         return (self.M,) + tuple(nn.out_extent(n, self.K, self.stride, self.pad)
@@ -236,22 +244,12 @@ class BayesConv:
                                                            self.pad))]
 
 
-class BayesFC:
+class BayesFC(BayesLayer):
     kind = "fc"
 
     def __init__(self, n_in: int, n_out: int):
+        super().__init__((n_out, n_in))
         self.n_in, self.n_out = n_in, n_out
-        self.mu = None
-        self.sigma = None
-
-    @property
-    def weight_count(self) -> int:
-        return self.n_out * self.n_in
-
-    def init_params(self, rng: np.random.Generator, cfg: TrainConfig):
-        shape = (self.n_out, self.n_in)
-        self.mu = (rng.standard_normal(shape) / np.sqrt(self.n_in)).astype(cfg.dtype)
-        self.sigma = np.full(shape, cfg.sigma_init, dtype=cfg.dtype)
 
     def out_shape(self, in_shape):
         return (self.n_out,)
@@ -460,7 +458,7 @@ class Trainer:
             if layer.kind in BAYES_KINDS:
                 log_sigma = log_sum(layer.sigma, self._square_buf)
                 post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
-                prior_const[lid] = layer.weight_count * (math.log(cfg.sigma_prior)
+                prior_const[lid] = layer.weight_count * (math.log(SIGMA_PRIOR)
                                                          + LOG_SQRT_2PI)
         caches, losses = [], []
         for i in range(cfg.S):
@@ -479,7 +477,7 @@ class Trainer:
                     w = np.multiply(eps, layer.sigma, out=eps)
                     w += layer.mu
                     p_r += prior_const[lid] + (square_sum(w, self._square_buf)
-                                               / (2 * cfg.sigma_prior ** 2))
+                                               / (2 * SIGMA_PRIOR ** 2))
                     layer_cache.append(a)
                     a = layer.forward(a, w)
                 else:
@@ -562,7 +560,7 @@ class Trainer:
             layer.mu -= dmu
             dsigma *= scale
             layer.sigma -= dsigma
-            np.maximum(layer.sigma, cfg.dtype(cfg.sigma_min), out=layer.sigma)
+            np.maximum(layer.sigma, cfg.dtype(SIGMA_MIN), out=layer.sigma)
         k = len(losses)
         return LossBreakdown(
             likelihood_nll=sum(l.likelihood_nll for l in losses) / k,

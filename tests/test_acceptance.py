@@ -33,6 +33,7 @@ from shiftbnn.lfsr import (
     state_to_window,
 )
 from shiftbnn.train import (
+    SIGMA_PRIOR,
     Model,
     TrainConfig,
     Trainer,
@@ -225,7 +226,7 @@ def test_06_gradient_finite_differences():
             for lid, _ in model.bayes_layers():
                 w = weights[lid]
                 total += float(np.sum(-(w - mu0[lid]) ** 2 / (2 * sig0[lid] ** 2)))
-                total += float(np.sum(w ** 2 / (2 * cfg.sigma_prior ** 2)))
+                total += float(np.sum(w ** 2 / (2 * SIGMA_PRIOR ** 2)))
         return total
 
     trainer = Trainer(model, cfg)

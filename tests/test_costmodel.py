@@ -23,6 +23,7 @@ from shiftbnn.costmodel import (
     spec_from_model,
     traffic_per_iteration,
     write_csv,
+    _build_vgg16,
 )
 from shiftbnn.train import MODEL_BUILDERS, TrainConfig, Trainer
 
@@ -56,9 +57,19 @@ class TestPresets:
                      LayerCost("fc3", "fc", 840, 10, 840))),
         ("toy-conv", (conv_cost("conv1", 1, 4, 3, 8), conv_cost("conv2", 4, 8, 3, 2),
                       fc_cost("fc1", 32, 10))),
+        # (inputs, outputs, output extent) of VGG-16's 3x3 convs
+        ("b-vgg", tuple(conv_cost(f"conv{i + 1}", n, m, 3, hw) for i, (n, m, hw) in enumerate([
+            (3, 64, 224), (64, 64, 224), (64, 128, 112), (128, 128, 112),
+            (128, 256, 56), (256, 256, 56), (256, 256, 56),
+            (256, 512, 28), (512, 512, 28), (512, 512, 28),
+            (512, 512, 14), (512, 512, 14), (512, 512, 14)]))
+         + (fc_cost("fc1", 512 * 7 * 7, 4096), fc_cost("fc2", 4096, 4096),
+            fc_cost("fc3", 4096, 1000))),
     ])
     def test_spec_from_trainer_network(self, name, layers):
-        spec = spec_from_model(MODEL_BUILDERS[name]())
+        # b-vgg's network is built by the cost model alone: train rejects it
+        assert (name in MODEL_BUILDERS) == (name != "b-vgg")
+        spec = spec_from_model(MODEL_BUILDERS.get(name, _build_vgg16)())
         assert spec == ModelSpec(name, layers)
         if name in MODEL_PRESETS:
             assert spec == MODEL_PRESETS[name]

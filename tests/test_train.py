@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftbnn import nn, train
+from shiftbnn import data, nn, train
 from shiftbnn.cli import _RetrievalRecorder
 from shiftbnn.grng import counts_to_eps, grng_init
 from shiftbnn.lfsr import TapSet
@@ -44,8 +44,6 @@ class TestConfig:
             TrainConfig(S=0)
         with pytest.raises(ValueError):
             TrainConfig(lr=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(sigma_prior=0.0)
         with pytest.raises(ValueError):
             TrainConfig(grad_mode="fancy")
         with pytest.raises(ValueError):
@@ -152,7 +150,7 @@ class TestPerWeightMath:
 
 class TestForwardPass:
     def test_zero_sigma_silences_sampling(self):
-        cfg = TrainConfig(S=3, sigma_min=0.0, master_seed=5)
+        cfg = TrainConfig(S=3, master_seed=5)
         model = Model([BayesFC(4, 4)])
         model.init_params(cfg)
         model.layers[0].mu = np.eye(4, dtype=np.float32)
@@ -193,8 +191,8 @@ class TestForwardPass:
                 sig = layer.sigma.astype(np.float64)
                 post += float(np.sum(-np.log(sig * np.sqrt(2 * np.pi))
                                      - 0.5 * eps.astype(np.float64) ** 2))
-                prior += float(np.sum(np.log(cfg.sigma_prior * np.sqrt(2 * np.pi))
-                                      + w ** 2 / (2 * cfg.sigma_prior ** 2)))
+                prior += float(np.sum(np.log(train.SIGMA_PRIOR * np.sqrt(2 * np.pi))
+                                      + w ** 2 / (2 * train.SIGMA_PRIOR ** 2)))
             assert type(loss.log_posterior) is float
             assert type(loss.neg_log_prior) is float
             assert loss.log_posterior == pytest.approx(cfg.kl_scale * post, rel=1e-12)
@@ -460,7 +458,7 @@ class TestTrainStep:
         dw_lik = dlogits.reshape(2, 1) * x[0, 0]
         dw_prime = dw_lik + 1.0 * (w / 0.25)
         mu_expect = mu0 - 0.1 * dw_prime
-        sig_expect = np.maximum(sig0 - 0.1 * dw_prime * eps, cfg.sigma_min)
+        sig_expect = np.maximum(sig0 - 0.1 * dw_prime * eps, train.SIGMA_MIN)
         assert np.allclose(model.layers[0].mu, mu_expect, atol=1e-12)
         assert np.allclose(model.layers[0].sigma, sig_expect, atol=1e-12)
 
@@ -474,8 +472,8 @@ class TestTrainStep:
             trainer.train_step(x[:4], y[:4])
         hit = 0
         for _, l in model.bayes_layers():
-            assert np.all(l.sigma >= cfg.sigma_min)
-            hit += int((l.sigma == cfg.sigma_min).sum())
+            assert np.all(l.sigma >= train.SIGMA_MIN)
+            hit += int((l.sigma == train.SIGMA_MIN).sum())
         assert hit > 0  # the clamp actually engaged at this rate
 
     def test_update_scale_divides_by_samples(self):
@@ -673,16 +671,15 @@ class TestTrainingQuality:
             last = loss.likelihood_nll
         assert last < first
 
-    def test_accuracy_improves_on_digits(self):
-        sklearn = pytest.importorskip("sklearn.datasets")
-        digits = sklearn.load_digits()
-        x = (digits.data / 16.0).astype(np.float32)
-        y = digits.target
+    def test_validation_accuracy_improves(self):
+        # 10 classes of 64-value templates plus noise; Trainer.accuracy
+        # reads the posterior mean through Model.predict
+        x, y = data.synthetic_dataset(0, 1800, (64,), 10)
         x_train, y_train = x[:1500], y[:1500]
         x_val, y_val = x[1500:], y[1500:]
         cfg = TrainConfig(S=4, lr=0.05, master_seed=1, kl_scale=1e-4)
         model = Model([BayesFC(64, 64), train.ReLU(), BayesFC(64, 10)],
-                      name="digits-mlp")
+                      name="mlp-64")
         model.init_params(cfg)
         trainer = Trainer(model, cfg)
         base = trainer.accuracy(x_val, y_val)
@@ -733,7 +730,7 @@ class TestGradientFiniteDifferences:
                     total += cfg.kl_scale * float(
                         np.sum(-(w - mu0[lid]) ** 2 / (2 * sig0[lid] ** 2)))
                     total += cfg.kl_scale * float(
-                        np.sum(w ** 2 / (2 * cfg.sigma_prior ** 2)))
+                        np.sum(w ** 2 / (2 * train.SIGMA_PRIOR ** 2)))
                 total += nll
             return total
 
