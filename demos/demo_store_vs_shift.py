@@ -12,8 +12,7 @@ from shiftbnn import TrainConfig, Trainer
 from shiftbnn.data import synthetic_dataset
 from shiftbnn.train import build_toyconv
 
-x, y = synthetic_dataset(seed=0, count=64, dims=(10, 10), classes=4)
-x = x[:, None]  # add the channel axis
+x, y = synthetic_dataset(seed=0, count=64, dims=(1, 10, 10), classes=4)
 
 results = {}
 for strategy in ("store", "shift"):

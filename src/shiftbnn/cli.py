@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 def _at_least(low, convert=int):
     def parse(raw):
         value = convert(raw)
-        if not value >= low:  # also rejects nan
+        if not low <= value < math.inf:  # also rejects nan
             raise ValueError(raw)
         return value
     return parse
@@ -72,10 +72,10 @@ SETTINGS = {
     "strategy": Setting(_one_of("store", "shift"), "shift", "store or shift"),
     "grad_mode": Setting(_one_of("paper", "exact"), "paper", "paper or exact"),
     "epochs": Setting(_count, 1, "an integer >= 1"),
-    "lr": Setting(_at_least(0.0, float), 1e-3, "a number >= 0"),
+    "lr": Setting(_at_least(0.0, float), 1e-3, "a finite number >= 0"),
     "seed": Setting(_at_least(0), 0, "an integer >= 0"),
     "batch": Setting(_count, None, "an integer >= 1"),  # 128 for IDX, 8 for synthetic
-    "kl_scale": Setting(_at_least(0.0, float), None, "a number >= 0"),  # 1 / batches
+    "kl_scale": Setting(_at_least(0.0, float), None, "a finite number >= 0"),  # 1 / batches
     "limit": Setting(_count, None, "an integer >= 1"),
     "steps": Setting(_count, 50, "an integer >= 1"),
     "out": Setting(str, "checkpoint.sbnn", "a path"),
@@ -153,39 +153,26 @@ def _find_idx(directory: str, stem: str) -> str:
     raise FileNotFoundError(f"no {stem}[.gz] under {directory}")
 
 
-# synthetic dataset option -> (parser, what it accepts)
-_SYNTHETIC_OPTIONS = {
-    "seed": (_at_least(0), "an integer >= 0"),
-    "count": (_count, "an integer >= 1"),
-    "dims": (lambda raw: tuple(_count(d) for d in raw.split("x")),
-             "integers >= 1 joined by 'x'"),
-    "classes": (_count, "an integer >= 1"),
-}
-
-
 def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
-    """(examples, labels) for 'synthetic[:k=v,...]' or an IDX directory.
-
-    ``dims`` is the synthetic example shape unless the spec sets ``dims=``.
-    """
+    """(examples, labels) for 'synthetic[:count=...,classes=...]' or an IDX
+    directory; synthetic examples have shape ``dims``, drawn from ``seed``."""
     name, colon, options = spec.partition(":")
     if name == "synthetic":
-        opts = {"seed": seed, "count": 512, "dims": dims, "classes": 4}
+        opts = {"count": 512, "classes": 4}
         if colon:
             for item in options.split(","):
                 key, _, raw = item.partition("=")
-                if key not in _SYNTHETIC_OPTIONS:
+                if key not in opts:
                     raise ConfigError(f"unknown synthetic option {key!r}")
-                parse, takes = _SYNTHETIC_OPTIONS[key]
                 try:
-                    opts[key] = parse(raw)
+                    opts[key] = _count(raw)
                 except ValueError:
-                    raise ConfigError(f"dataset must be synthetic with {key} {takes}, "
-                                      f"got {raw!r}") from None
+                    raise ConfigError(f"dataset must be synthetic with {key} an integer "
+                                      f">= 1, got {raw!r}") from None
         # one doubled draw sliced in half keeps the class templates shared
         # between the splits while the examples stay disjoint
-        images, labels = data.synthetic_dataset(opts["seed"], opts["count"] * 2,
-                                                opts["dims"], opts["classes"])
+        images, labels = data.synthetic_dataset(seed, opts["count"] * 2, dims,
+                                                opts["classes"])
         half = opts["count"]
         if split == "test":
             return images[half:], labels[half:]
@@ -199,35 +186,26 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
     raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
 
 
-def _shape_inputs(model: train.Model, images: np.ndarray) -> np.ndarray:
-    """Examples in the layout the model's first layer takes.
-
-    Each example must have the model's input shape, or that shape without
-    a leading single channel; anything else is a ShapeMismatch.
-    """
-    shape = model.input_shape
-    got = images.shape[1:]
-    if got != shape and (1,) + got != shape:
-        raise nn.ShapeMismatch(f"{model.name} takes {'x'.join(map(str, shape))} "
-                               f"inputs, got {'x'.join(map(str, got))}")
-    return images.reshape((len(images),) + model.feed_shape)
-
-
 def _load_split(settings: dict, split: str, model: train.Model):
-    """(examples in the model's input layout, labels) of one dataset split.
+    """(examples, labels) of one dataset split.
 
     Every label must name one of the network's outputs, whose count is
-    carried through the layers' ``out_shape``.
+    carried through the layers' ``out_shape``, and every example must have
+    the network's input shape; anything else is a ShapeMismatch.
     """
     images, labels = resolve_dataset(settings["dataset"], split, settings["seed"],
                                      model.input_shape)
-    shape = model.feed_shape
+    shape = model.input_shape
     for layer in model.layers:
         shape = layer.out_shape(shape)
     if labels.max() >= shape[0]:
         raise ConfigError(f"dataset {settings['dataset']} has {split} label "
                           f"{labels.max()}, but {model.name} has {shape[0]} outputs")
-    return _shape_inputs(model, images), labels
+    got = images.shape[1:]
+    if got != model.input_shape:
+        raise nn.ShapeMismatch(f"{model.name} takes {'x'.join(map(str, model.input_shape))} "
+                               f"inputs, got {'x'.join(map(str, got))}")
+    return images, labels
 
 
 def _lookup(table: dict, name: str, what: str):

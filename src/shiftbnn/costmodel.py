@@ -111,12 +111,12 @@ def spec_from_model(model: train.Model) -> ModelSpec:
     value of a channel takes one MAC per weight of that channel, so
     macs = weights * out_acts / out_channels for conv and fc alike.
     """
-    shape = model.feed_shape
+    shape = model.input_shape
     seen = Counter()
     layers = []
     for layer in model.layers:
         shape = layer.out_shape(shape)
-        if layer.kind in train.BAYES_KINDS:
+        if isinstance(layer, train.BayesLayer):
             seen[layer.kind] += 1
             w, out_acts = layer.weight_count, math.prod(shape)
             layers.append(LayerCost(f"{layer.kind}{seen[layer.kind]}", layer.kind,
@@ -135,7 +135,7 @@ def _build_vgg16() -> train.Model:
             layers += [train.BayesConv(n_in, m, 3, 1, 1), train.ReLU()]
             n_in = m
         layers.insert(-1, train.MaxPool(2))  # before the block's last ReLU
-    layers += [train.Flatten(), train.BayesFC(512 * 7 * 7, 4096), train.ReLU(),
+    layers += [train.BayesFC(512 * 7 * 7, 4096), train.ReLU(),
                train.BayesFC(4096, 4096), train.ReLU(), train.BayesFC(4096, 1000)]
     return train.Model(layers, name="b-vgg", input_shape=(3, 224, 224))
 

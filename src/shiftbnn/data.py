@@ -58,6 +58,13 @@ def read_exact(f, nbytes: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
+def expect_end(f, what: str) -> None:
+    """CountMismatch unless ``f`` is at its end: a header counts every byte
+    of its file."""
+    if f.read(1):
+        raise CountMismatch(f"{what} has bytes after what its header counts")
+
+
 def read_idx_images(path) -> np.ndarray:
     """[count, rows, cols] float32 array scaled to [0, 1]."""
     with _open_binary(path) as f:
@@ -65,6 +72,7 @@ def read_idx_images(path) -> np.ndarray:
         if magic != IDX_IMAGES_MAGIC:
             raise BadMagic(f"image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
         raw = read_exact(f, count * rows * cols, "image data")
+        expect_end(f, "image file")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     return pixels.astype(np.float32) / 255.0
 
@@ -75,6 +83,7 @@ def read_idx_labels(path) -> np.ndarray:
         if magic != IDX_LABELS_MAGIC:
             raise BadMagic(f"label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
         raw = read_exact(f, count, "label data")
+        expect_end(f, "label file")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

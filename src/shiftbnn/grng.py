@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .data import read_exact
+from .data import expect_end, read_exact
 from .lfsr import (
     LfsrState,
     TapSet,
@@ -271,4 +271,5 @@ def read_epsilon_log(path) -> tuple[int, np.ndarray]:
         if version != 1:
             raise ValueError(f"unsupported epsilon log version {version}")
         raw = read_exact(f, 2 * count, "truncated epsilon log counts")
+        expect_end(f, "epsilon log")
         return n, np.frombuffer(raw, dtype="<u2").copy()

@@ -138,8 +138,7 @@ def fc_backward_data(e: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def fc_backward_weights(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    if x.ndim == 1:
-        return np.outer(e, x)
+    """[B,out]^T @ [B,in] -> [out,in]."""
     return e.T @ x
 
 
@@ -216,18 +215,13 @@ def maxpool_bwd(e: np.ndarray, slot: np.ndarray, in_hw: tuple[int, int],
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and dLoss/dLogits for integer class labels.
 
-    logits: [(B,)num_classes]; labels: int array [(B,)].  The gradient is
+    logits: [B,num_classes]; labels: int array [B].  The gradient is
     softmax - onehot, divided by the batch size (matching the mean loss).
     """
     z = logits - logits.max(axis=-1, keepdims=True)
     # log-softmax form: finite logits can never produce an infinite loss
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
-    if logits.ndim == 1:
-        loss = -logp[labels]
-        grad = p.copy()
-        grad[labels] -= 1.0
-        return float(loss), grad
     b = logits.shape[0]
     idx = np.arange(b)
     loss = float(-logp[idx, labels].mean())

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import read_exact
+from .data import expect_end, read_exact
 from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
 
@@ -255,10 +255,11 @@ class BayesFC(BayesLayer):
         return (self.n_out,)
 
     def forward(self, x, w):
-        return nn.fc_forward(x, w)
+        return nn.fc_forward(x.reshape(len(x), -1), w)
 
     def backward(self, x, e, w, need_dx=True):
-        """(input errors or None when not ``need_dx``, likelihood dw blocks).
+        """(input errors in x's shape or None when not ``need_dx``,
+        likelihood dw blocks).
 
         dx is made at once, since it reads all of w.  The blocks are
         (row slice, dw rows) pairs of about ``GRAD_BLOCK`` weights, each
@@ -268,8 +269,8 @@ class BayesFC(BayesLayer):
         at least (unless the layer has one): numpy hands a one-row product
         to gemv or dot, whose sums can round differently from gemm's.
         """
-        dx = nn.fc_backward_data(e, w) if need_dx else None
-        return dx, self._weight_grad_blocks(x, e)
+        dx = nn.fc_backward_data(e, w).reshape(x.shape) if need_dx else None
+        return dx, self._weight_grad_blocks(x.reshape(len(x), -1), e)
 
     def _weight_grad_blocks(self, x, e):
         step = max(2, GRAD_BLOCK // self.n_in)
@@ -281,8 +282,6 @@ class BayesFC(BayesLayer):
 
 
 class ReLU:
-    kind = "relu"
-
     def out_shape(self, in_shape):
         return in_shape
 
@@ -294,8 +293,6 @@ class ReLU:
 
 
 class MaxPool:
-    kind = "pool"
-
     def __init__(self, k: int = 2):
         self.k = k
 
@@ -312,44 +309,20 @@ class MaxPool:
         return nn.maxpool_bwd(e, slot, in_hw, self.k)
 
 
-class Flatten:
-    kind = "flatten"
-
-    def out_shape(self, in_shape):
-        return (math.prod(in_shape),)
-
-    def forward(self, x):
-        lead = x.shape[:-3]
-        return x.reshape(lead + (-1,)), x.shape
-
-    def backward(self, e, aux):
-        return e.reshape(aux)
-
-
-BAYES_KINDS = ("conv", "fc")
-
-
 class Model:
     """Layers in forward order; ``input_shape`` is the shape of one input
-    example the network was written for (fc-first networks take it
-    flattened)."""
+    example.  Every layer takes a batch of examples, and an fc layer reads
+    each of its input examples as a vector."""
 
     def __init__(self, layers, name: str = "model", input_shape: tuple[int, ...] = ()):
         self.layers = list(layers)
         self.name = name
         self.input_shape = input_shape
 
-    @property
-    def feed_shape(self) -> tuple[int, ...]:
-        """One example's shape as the first layer takes it."""
-        if self.layers[0].kind == "fc":
-            return (math.prod(self.input_shape),)
-        return self.input_shape
-
     def bayes_layers(self):
         """(layer_id, layer) for every parameterized layer; the id is the
         position in the layer list, which keys the per-layer arrays."""
-        return [(i, l) for i, l in enumerate(self.layers) if l.kind in BAYES_KINDS]
+        return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, BayesLayer)]
 
     def init_params(self, cfg: TrainConfig):
         rng = np.random.default_rng(cfg.master_seed)
@@ -360,7 +333,7 @@ class Model:
         """Deterministic forward with explicit per-layer weight arrays."""
         a = x
         for i, layer in enumerate(self.layers):
-            if layer.kind in BAYES_KINDS:
+            if isinstance(layer, BayesLayer):
                 a = layer.forward(a, weights[i])
             else:
                 a, _ = layer.forward(a)
@@ -455,7 +428,7 @@ class Trainer:
         # are taken once per layer
         post_const, prior_const = {}, {}
         for lid, layer in enumerate(self.model.layers):
-            if layer.kind in BAYES_KINDS:
+            if isinstance(layer, BayesLayer):
                 log_sigma = log_sum(layer.sigma, self._square_buf)
                 post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
                 prior_const[lid] = layer.weight_count * (math.log(SIGMA_PRIOR)
@@ -467,7 +440,7 @@ class Trainer:
             p_s = 0.0
             p_r = 0.0
             for lid, layer in enumerate(self.model.layers):
-                if layer.kind in BAYES_KINDS:
+                if isinstance(layer, BayesLayer):
                     # eps, then w = mu + eps * sigma over it, in w's buffer;
                     # the counts are dropped once read
                     shape = layer.mu.shape
@@ -512,13 +485,13 @@ class Trainer:
         cfg = self.cfg
         accum = self._accum
         accum.zero()
-        first = next(i for i, l in enumerate(self.model.layers) if l.kind in BAYES_KINDS)
+        first = next(i for i, l in enumerate(self.model.layers) if isinstance(l, BayesLayer))
         for i in range(cfg.S):
             layer_cache, e = caches[i]
             for lid in range(len(self.model.layers) - 1, first - 1, -1):
                 layer = self.model.layers[lid]
                 payload = layer_cache[lid]
-                if layer.kind in BAYES_KINDS:
+                if isinstance(layer, BayesLayer):
                     shape = layer.mu.shape
                     eps = counts_to_eps(self._retrieve_counts(i, lid, layer).reshape(shape),
                                         self.n, out=_front(self._eps_buf, shape))
@@ -596,7 +569,6 @@ def build_toyconv() -> Model:
         BayesConv(1, 4, 3),              # 10 -> 8
         MaxPool(2), ReLU(),              # 8 -> 4
         BayesConv(4, 8, 3), ReLU(),      # 4 -> 2
-        Flatten(),
         BayesFC(8 * 2 * 2, 10),
     ], name="toy-conv", input_shape=(1, 10, 10))
 
@@ -608,7 +580,6 @@ def build_blenet() -> Model:
         MaxPool(2), ReLU(),              # 28 -> 14
         BayesConv(6, 16, 5),             # 14 -> 10
         MaxPool(2), ReLU(),              # 10 -> 5
-        Flatten(),
         BayesFC(16 * 5 * 5, 120), ReLU(),
         BayesFC(120, 84), ReLU(),
         BayesFC(84, 10),
@@ -665,13 +636,20 @@ def load_checkpoint(path) -> list[dict]:
                               dtype="<f4").reshape(shape).copy()
                 for name in ("mu", "sigma"))
             out.append({"kind": kind, "dims": tuple(dims), "mu": mu, "sigma": sigma})
+        expect_end(f, "checkpoint")
     return out
 
 
 def apply_checkpoint(model: Model, entries: list[dict]) -> None:
+    """Sets every Bayesian layer's (mu, sigma) from ``load_checkpoint``'s
+    entries, once each entry's kind and shape match its layer's."""
     bayes = model.bayes_layers()
     if len(bayes) != len(entries):
         raise ValueError("checkpoint layer count mismatch")
+    for i, ((_, layer), entry) in enumerate(zip(bayes, entries)):
+        if (entry["kind"], entry["mu"].shape) != (layer.kind, layer.weight_shape):
+            raise ValueError(f"checkpoint layer {i} is {entry['kind']} {entry['mu'].shape}, "
+                             f"but {model.name} has {layer.kind} {layer.weight_shape}")
     for (_, layer), entry in zip(bayes, entries):
-        layer.mu = entry["mu"].reshape(layer.mu.shape).astype(layer.mu.dtype)
-        layer.sigma = entry["sigma"].reshape(layer.sigma.shape).astype(layer.sigma.dtype)
+        layer.mu = entry["mu"].astype(layer.mu.dtype)
+        layer.sigma = entry["sigma"].astype(layer.sigma.dtype)

@@ -15,7 +15,7 @@ from shiftbnn.costmodel import read_csv
 from shiftbnn.grng import read_epsilon_log
 from shiftbnn.train import build_bmlp, build_toyconv, load_checkpoint
 
-SYNTH = "synthetic:count=64,dims=10x10,classes=4"
+SYNTH = "synthetic:count=64,classes=4"
 
 
 def run(argv):
@@ -93,6 +93,8 @@ class TestSettingsTable:
         ("train", "limit", "0"),
         ("train", "limit", "-3"),
         ("train", "lr", "-1"),
+        ("train", "lr", "inf"),
+        ("train", "kl_scale", "inf"),
         ("train", "epochs", "0"),
         ("train", "strategy", "log"),
         ("verify-equivalence", "steps", "-2"),
@@ -102,8 +104,6 @@ class TestSettingsTable:
         ("train", "dataset", "synthetic:count=-4"),
         ("train", "dataset", "synthetic:count=x"),
         ("train", "dataset", "synthetic:classes=0"),
-        ("train", "dataset", "synthetic:seed=-1"),
-        ("train", "dataset", "synthetic:dims=1x10x"),
     ])
     def test_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
                                   command, key, value):
@@ -153,7 +153,7 @@ class TestTrain:
         out = tmp_path / "m.sbnn"
         log = tmp_path / "train.log"
         code = run(["train", "--model", "b-mlp", "--dataset",
-                    "synthetic:count=64,dims=28x28,classes=10",
+                    "synthetic:count=64,classes=10",
                     "--samples", "2", "--epochs", "2",
                     "--out", str(out), "--report", str(log)])
         assert code == 0
@@ -194,14 +194,25 @@ class TestTrain:
         assert run(["train", "--model", model, "--dataset", "synthetic:count=16",
                     "--samples", "2", "--out", str(tmp_path / "m.sbnn")]) == 0
 
-    def test_mismatched_synthetic_dims_is_named_error(self, tmp_path, capsys):
-        code = run(["train", "--model", "b-lenet", "--dataset",
-                    "synthetic:count=16,dims=8x8", "--samples", "2",
-                    "--out", str(tmp_path / "m.sbnn")])
+    def test_mismatched_idx_shape_is_named_error(self, tmp_path, capsys):
+        root = idx_dir(tmp_path, 8, 8)
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "b-lenet", "--dataset", str(root),
+                    "--samples", "2", "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "3x32x32" in err and "8x8" in err
+        assert capsys.readouterr().err == "error: b-lenet takes 3x32x32 inputs, got 28x28\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["seed=0", "dims=1x10x10"])
+    def test_synthetic_takes_only_count_and_classes(self, tmp_path, capsys, option):
+        # synthetic examples come from --seed and have the network's input shape
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "toy-conv", "--dataset", f"synthetic:{option}",
+                    "--samples", "1", "--out", str(out)])
+        assert code == 2
+        key = option.partition("=")[0]
+        assert capsys.readouterr().err == f"error: unknown synthetic option {key!r}\n"
+        assert not out.exists()
 
     def test_directory_named_like_synthetic_is_idx(self, tmp_path, monkeypatch, capsys):
         # only 'synthetic' and 'synthetic:...' name the synthetic set

@@ -174,7 +174,7 @@ class TestFootprint:
         """The modelled noise residency is what an S=8 STORE forward pass
         logs (2 bytes per count), and SHIFT logs nothing."""
         model = MODEL_BUILDERS[name]()
-        x = np.random.default_rng(0).random((2,) + model.feed_shape, dtype=np.float32)
+        x = np.random.default_rng(0).random((2,) + model.input_shape, dtype=np.float32)
         y = np.arange(2)
         eps = footprint(spec_from_model(model), 8, "store", P)["eps"]
         assert eps / 2 ** 20 == pytest.approx(store_mib, abs=0.005)

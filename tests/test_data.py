@@ -77,6 +77,20 @@ class TestIdx:
         with pytest.raises(TruncatedFile):
             read_idx_labels(lp)
 
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("which", ["image", "label"])
+    def test_bytes_after_the_data_named(self, idx_pair, which, gz):
+        path = idx_pair[0 if which == "image" else 1]
+        raw = path.read_bytes() + b"\x00"
+        if gz:
+            path = path.with_name(path.name + ".gz")
+            raw = gzip.compress(raw)
+        path.write_bytes(raw)
+        read = read_idx_images if which == "image" else read_idx_labels
+        with pytest.raises(CountMismatch,
+                           match=f"{which} file has bytes after what its header counts"):
+            read(path)
+
     @pytest.mark.parametrize("name", ["imgs.idx", "imgs.idx.gz"])
     def test_oversized_claim_is_truncated(self, tmp_path, name):
         # the header claims (2^32 - 1)^3 pixels; the file holds 16

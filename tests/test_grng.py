@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftbnn.data import TruncatedFile
+from shiftbnn.data import CountMismatch, TruncatedFile
 from shiftbnn.grng import (
     BlockScratch,
     GrngStream,
@@ -280,6 +280,14 @@ class TestEpsilonLog:
         write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated epsilon log header"):
+            read_epsilon_log(path)
+
+    def test_bytes_after_the_counts_named(self, tmp_path):
+        path = tmp_path / "t.epsl"
+        write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
+        path.write_bytes(path.read_bytes() + bytes(2))
+        with pytest.raises(CountMismatch,
+                           match="epsilon log has bytes after what its header counts"):
             read_epsilon_log(path)
 
     def test_oversized_count_is_truncated(self, tmp_path):

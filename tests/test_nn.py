@@ -210,11 +210,6 @@ class TestAdjoints:
         fd = ((nn.fc_forward(x, wp) * e).sum() - (nn.fc_forward(x, wm) * e).sum()) / (2 * h)
         assert np.isclose(dw[3, 4], fd, rtol=1e-6)
 
-    def test_fc_single_example(self):
-        x = np.array([1.0, 2.0])
-        e = np.array([3.0, 4.0, 5.0])
-        assert np.array_equal(nn.fc_backward_weights(x, e), np.outer(e, x))
-
 
 class TestActivations:
     def test_relu(self):
@@ -352,9 +347,9 @@ class TestPoolSemantics:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss, grad = nn.softmax_xent(np.zeros(4), 2)
+        loss, grad = nn.softmax_xent(np.zeros((1, 4)), np.array([2]))
         assert np.isclose(loss, np.log(4))
-        assert np.isclose(grad[2], 0.25 - 1)
+        assert np.isclose(grad[0, 2], 0.25 - 1)
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(9)
@@ -370,6 +365,6 @@ class TestSoftmaxXent:
             assert np.isclose(grad[idx], fd, rtol=1e-4, atol=1e-8)
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = nn.softmax_xent(np.array([1000.0, -1000.0]), 1)
+        loss, grad = nn.softmax_xent(np.array([[1000.0, -1000.0]]), np.array([1]))
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))

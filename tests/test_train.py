@@ -215,15 +215,15 @@ class TestForwardPass:
         # the cost model reads layer shapes from out_shape, not from a forward
         model = MODEL_BUILDERS[name]()
         model.init_params(TrainConfig())
-        shape = model.feed_shape
+        shape = model.input_shape
         a = np.zeros((2,) + shape, dtype=np.float32)
         for layer in model.layers:
-            if layer.kind in train.BAYES_KINDS:
+            if isinstance(layer, train.BayesLayer):
                 a = layer.forward(a, layer.mu)
             else:
                 a, _ = layer.forward(a)
             shape = layer.out_shape(shape)
-            assert a.shape == (2,) + shape, layer.kind
+            assert a.shape == (2,) + shape, layer
 
     def test_forward_pass_makes_no_layer_sized_float64_array(self):
         # the log-density sums go through the trainer's 128 KiB float64
@@ -278,7 +278,7 @@ class TestStepFootprint:
     def check_step_peak(name, strategy, bound_mib):
         model = MODEL_BUILDERS[name]()
         rng = np.random.default_rng(0)
-        x = rng.random((16,) + model.feed_shape, dtype=np.float32)
+        x = rng.random((16,) + model.input_shape, dtype=np.float32)
         y = np.arange(16) % 10
         cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy=strategy)
         model.init_params(cfg)
@@ -560,12 +560,12 @@ class TestBlockedWeightGradient:
     # (n_in, n_out, example shape, rows of each block): 1000 inputs make
     # 32-row blocks, so 70 rows end in a 6-row block, and 65 rows in a
     # 33-row one (no one-row tail); 20 x 10 is smaller than one block;
-    # 1-D examples take np.outer; 40,000 inputs make two rows a block
+    # a batch of one sums no products; 40,000 inputs make two rows a block
     CASES = [
         (1000, 70, (8, 1000), [32, 32, 6]),
         (1000, 65, (8, 1000), [32, 33]),
         (20, 10, (8, 20), [10]),
-        (1000, 70, (1000,), [32, 32, 6]),
+        (1000, 70, (1, 1000), [32, 32, 6]),
         (40000, 5, (2, 40000), [2, 3]),
     ]
 
@@ -838,3 +838,30 @@ class TestCheckpoints:
         mlp.init_params(cfg)
         with pytest.raises(ValueError):
             apply_checkpoint(mlp, load_checkpoint(p))
+
+    @pytest.mark.parametrize("saved,model,match", [
+        # an fc 4 -> 6 layer holds as many weights as an fc 6 -> 4 one
+        (train.BayesFC(4, 6), train.BayesFC(6, 4),
+         r"checkpoint layer 0 is fc \(6, 4\), but one-layer has fc \(4, 6\)"),
+        # a 1x1x2x2 conv kernel holds as many weights as an fc 2 -> 2 layer
+        (train.BayesConv(1, 1, 2), train.BayesFC(2, 2),
+         r"checkpoint layer 0 is conv \(1, 1, 2, 2\), but one-layer has fc \(2, 2\)"),
+    ])
+    def test_layer_kind_or_shape_mismatch_named(self, tmp_path, saved, model, match):
+        cfg = TrainConfig(S=1, master_seed=0)
+        source = Model([saved], name="source")
+        source.init_params(cfg)
+        p = tmp_path / "a.sbnn"
+        save_checkpoint(p, source)
+        target = Model([model], name="one-layer")
+        target.init_params(cfg)
+        before = model.mu.copy()
+        with pytest.raises(ValueError, match=match):
+            apply_checkpoint(target, load_checkpoint(p))
+        assert np.array_equal(model.mu, before)
+
+    def test_bytes_after_the_last_layer_named(self, saved):
+        saved.write_bytes(saved.read_bytes() + bytes(4))
+        with pytest.raises(data.CountMismatch,
+                           match="checkpoint has bytes after what its header counts"):
+            load_checkpoint(saved)

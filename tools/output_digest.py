@@ -5,6 +5,9 @@ Runs the package of the checkout this script sits in, with
 
 * ``train`` for b-mlp, toy-conv and b-lenet under store and shift, paper
   and exact (seed 3, S=8, ``synthetic:count=64``): checkpoint, log, stdout;
+* ``train`` for b-mlp and b-lenet on an IDX directory of 28x28 examples
+  that this script writes from ``data.synthetic_dataset`` (b-lenet takes
+  3x32x32, so it exits 2): the IDX files, checkpoint, log, stdout;
 * ``verify-equivalence`` for b-mlp and b-lenet (4 steps, S=8): both
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
 * ``cost-report`` with defaults and with ``--eps-double-read
@@ -33,7 +36,23 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+from shiftbnn import data  # noqa: E402
+
 ELAPSED = re.compile(r"[0-9.]+s$", re.MULTILINE)
+IDX_FILES = (("idx/train-images-idx3-ubyte", "idx/train-labels-idx1-ubyte"),
+             ("idx/t10k-images-idx3-ubyte", "idx/t10k-labels-idx1-ubyte"))
+
+
+def write_idx_dir(out_dir: Path) -> list[str]:
+    """64 b-mlp-shaped (28x28, 10 classes) examples per split as IDX files
+    under ``out_dir/idx``; the names of the files."""
+    (out_dir / "idx").mkdir(exist_ok=True)
+    for seed, (images, labels) in enumerate(IDX_FILES):
+        x, y = data.synthetic_dataset(seed, 64, (28, 28), 10)
+        data.write_idx_images(out_dir / images, x)
+        data.write_idx_labels(out_dir / labels, y)
+    return [name for pair in IDX_FILES for name in pair]
 
 
 def runs():
@@ -47,6 +66,12 @@ def runs():
                              "--dataset", "synthetic:count=64",
                              "--out", f"{name}.sbnn", "--report", f"{name}.log"], \
                     [f"{name}.sbnn", f"{name}.log"]
+    for model in ("b-mlp", "b-lenet"):
+        name = f"train-{model}-idx"
+        yield name, ["train", "--model", model, "--dataset", "idx", "--seed", "3",
+                     "--samples", "8", "--batch", "16", "--epochs", "2",
+                     "--out", f"{name}.sbnn", "--report", f"{name}.log"], \
+            [f"{name}.sbnn", f"{name}.log"] if model == "b-mlp" else []
     for model in ("b-mlp", "b-lenet"):
         name = f"verify-{model}"
         yield name, ["verify-equivalence", "--model", model, "--steps", "4",
@@ -64,7 +89,7 @@ def write_outputs(out_dir: Path) -> list[str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    files, codes = [], []
+    files, codes = write_idx_dir(out_dir), []
     for name, args, written in runs():
         run = subprocess.run([sys.executable, "-m", "shiftbnn.cli", *args], cwd=out_dir,
                              env=env, capture_output=True, text=True)
