@@ -110,12 +110,8 @@ class BlockScratch:
     def __init__(self):
         self._buf = np.empty(0, np.uint8)
 
-    def reserve(self, k: int, taps: TapSet) -> None:
-        """Grow the buffer to serve k-draw blocks in both directions."""
-        self.block(k, taps)
-
     def block(self, k: int, taps: TapSet) -> np.ndarray:
-        """The buffer for one k-draw block in either direction."""
+        """The buffer for one k-draw block in either direction, grown to fit."""
         size = max(backward_span(k, taps), 3 * (taps.width + k))
         if self._buf.size < size:
             self._buf = np.empty(size, np.uint8)

@@ -22,11 +22,11 @@ its weight gradient: the errors it would pass to the input image reach
 no parameter.
 
 Per-weight math: the streams hand out raw 1s counts, and only ``grng``
-turns counts into eps.  ``counts_to_eps`` standardizes them straight
-into the working dtype (the float64 value rounded once), and the sampled
-weight is built in that buffer in place.  The forward pass's w and the
-backward pass's eps and w live in two buffers that each ``Trainer``
-keeps across steps, sized by its largest layer and shared by its samples
+turns counts into eps.  In ``Trainer._sample``, for both passes,
+``counts_to_eps`` standardizes them straight into the working dtype (the
+float64 value rounded once) in the eps buffer, and w = mu + eps * sigma
+is built in the w buffer.  Each ``Trainer`` keeps the two buffers
+across steps, sized by its largest layer and shared by its samples
 and layers; dw' is then built in w's buffer.  The trainer also hands its
 S streams one ``BlockScratch`` (the generator's block buffer, sized the
 same way), so the noise path allocates only the count arrays the streams
@@ -36,8 +36,8 @@ sqrt(2 pi) constants) are taken once per layer per step.  The three sums
 of the log densities (sum log sigma, sum eps^2 and sum w^2) go through one
 float64 buffer of at most 16 Ki elements, a chunk at a time, so only
 their float64 summation order differs from a float64 copy, within 1e-12
-relative.  sum(eps^2) is taken on the eps that ``counts_to_eps`` writes
-into w's buffer, and at n = 256 it is exact: eps = (c - 128) / 8 is
+relative.  sum(eps^2) is taken on the eps buffer, and at n = 256 it
+is exact: eps = (c - 128) / 8 is
 exact in float32, every square is a multiple of 1/64 of at most 256, and
 no partial sum of a layer comes near 2^53 / 64, so it equals the integer
 formula in any order.  The backward pass forms dw' and the (dmu,
@@ -76,6 +76,11 @@ from .lfsr import TapSet
 SIGMA_PRIOR = 0.5
 #: floor of sigma after each update: SGD on sigma itself can cross zero
 SIGMA_MIN = 1e-6
+#: sigma of every weight before training: consecutive draws from one stream
+#: are strongly correlated (each shift replaces one bit of the counting
+#: window), so per-row noise adds almost coherently; a small initial sigma
+#: keeps early activations bounded
+SIGMA_INIT = 0.005
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
@@ -88,10 +93,6 @@ class TrainConfig:
     epsilon_strategy: str = "shift"  # "shift" | "store"
     master_seed: int = 0
     kl_scale: float = 1.0  # weight of the prior+posterior terms per step
-    # consecutive draws from one stream are strongly correlated (each shift
-    # replaces one bit of the counting window), so per-row noise adds almost
-    # coherently; a small initial sigma keeps early activations bounded
-    sigma_init: float = 0.005
     dtype: type = np.float32
 
     def __post_init__(self):
@@ -125,7 +126,7 @@ class LossBreakdown:
 # -- per-weight math, as used by the function units -------------------------
 
 
-def dpu_grad(w, mu, sigma, eps, cfg: TrainConfig, out=None):
+def dpu_grad(w, sigma, eps, cfg: TrainConfig, out=None):
     """d(posterior + prior terms)/dw for one sampled weight.
 
     "paper" mode keeps only the dominant prior part w / SIGMA_PRIOR^2
@@ -199,7 +200,7 @@ GRAD_BLOCK = 1 << 15
 class BayesLayer:
     """(mu, sigma) of one weight array of shape ``weight_shape``, output axis
     first.  ``init_params`` draws mu from N(0, 1 / fan_in), fan_in being
-    every other axis, and sets sigma to ``cfg.sigma_init``."""
+    every other axis, and sets sigma to ``SIGMA_INIT``."""
 
     def __init__(self, weight_shape: tuple[int, ...]):
         self.weight_shape = weight_shape
@@ -209,11 +210,11 @@ class BayesLayer:
     def weight_count(self) -> int:
         return math.prod(self.weight_shape)
 
-    def init_params(self, rng: np.random.Generator, cfg: TrainConfig):
+    def init_params(self, rng: np.random.Generator, dtype):
         shape = self.weight_shape
         fan_in = math.prod(shape[1:])
-        self.mu = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(cfg.dtype)
-        self.sigma = np.full(shape, cfg.sigma_init, dtype=cfg.dtype)
+        self.mu = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
+        self.sigma = np.full(shape, SIGMA_INIT, dtype=dtype)
 
 
 class BayesConv(BayesLayer):
@@ -221,7 +222,7 @@ class BayesConv(BayesLayer):
 
     def __init__(self, n_in: int, m_out: int, k: int, stride: int = 1, pad: int = 0):
         super().__init__((m_out, n_in, k, k))
-        self.N, self.M, self.K = n_in, m_out, k
+        self.M, self.K = m_out, k
         self.stride, self.pad = stride, pad
 
     def out_shape(self, in_shape):
@@ -327,7 +328,7 @@ class Model:
     def init_params(self, cfg: TrainConfig):
         rng = np.random.default_rng(cfg.master_seed)
         for _, layer in self.bayes_layers():
-            layer.init_params(rng, cfg)
+            layer.init_params(rng, cfg.dtype)
 
     def forward_with_weights(self, x, weights: dict):
         """Deterministic forward with explicit per-layer weight arrays."""
@@ -347,18 +348,6 @@ class Model:
 # -- trainer -----------------------------------------------------------------
 
 
-class GradAccum:
-    def __init__(self, model: Model, dtype):
-        self.dmu = {i: np.zeros(l.mu.shape, dtype) for i, l in model.bayes_layers()}
-        self.dsigma = {i: np.zeros(l.sigma.shape, dtype) for i, l in model.bayes_layers()}
-
-    def zero(self):
-        for a in self.dmu.values():
-            a[...] = 0
-        for a in self.dsigma.values():
-            a[...] = 0
-
-
 def _front(buf: np.ndarray, shape) -> np.ndarray:
     """The first prod(shape) elements of a flat buffer, shaped ``shape``."""
     return buf[:math.prod(shape)].reshape(shape)
@@ -371,7 +360,8 @@ class Trainer:
     new array per (sample, layer id) in the order they were drawn, which
     the backward pass reads back.  Each forward pass starts a new dict, so
     a caller's reference to an earlier step's log stays intact.  SHIFT
-    leaves it empty.
+    leaves it empty.  ``dmu`` and ``dsigma`` hold the latest backward
+    pass's gradient sums per layer id.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, taps: TapSet | None = None):
@@ -384,14 +374,15 @@ class Trainer:
         # largest layer: the streams draw one at a time
         largest = max((l.weight_count for _, l in model.bayes_layers()), default=0)
         self.scratch = BlockScratch()
-        self.scratch.reserve(largest, self.taps)
+        self.scratch.block(largest, self.taps)
         self.streams: list[GrngStream] = [
             grng_init(cfg.master_seed, i, self.taps, self.scratch) for i in range(cfg.S)
         ]
         self._eps_buf = np.empty(largest, cfg.dtype)
         self._w_buf = np.empty(largest, cfg.dtype)
         self._square_buf = np.empty(min(largest, SQUARE_CHUNK), np.float64)
-        self._accum = GradAccum(model, cfg.dtype)
+        self.dmu = {i: np.zeros(l.weight_shape, cfg.dtype) for i, l in model.bayes_layers()}
+        self.dsigma = {i: np.zeros(l.weight_shape, cfg.dtype) for i, l in model.bayes_layers()}
 
     @property
     def scratch_bytes(self) -> int:
@@ -411,6 +402,15 @@ class Trainer:
             return self.step_log[(sample_id, layer_id)]
         # reverse retrieval order -> forward order
         return self.streams[sample_id].retrieve_block(layer.weight_count)[::-1]
+
+    def _sample(self, counts: np.ndarray, layer):
+        """(eps, w = mu + eps * sigma) of one layer from its counts, in the
+        eps and w buffers."""
+        shape = layer.weight_shape
+        eps = counts_to_eps(counts.reshape(shape), self.n, out=_front(self._eps_buf, shape))
+        w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, shape))
+        w += layer.mu
+        return eps, w
 
     def forward_pass(self, x, y):
         """Returns (per-sample caches, per-sample LossBreakdown list).
@@ -441,14 +441,9 @@ class Trainer:
             p_r = 0.0
             for lid, layer in enumerate(self.model.layers):
                 if isinstance(layer, BayesLayer):
-                    # eps, then w = mu + eps * sigma over it, in w's buffer;
-                    # the counts are dropped once read
-                    shape = layer.mu.shape
-                    eps = counts_to_eps(self._draw_counts(i, lid, layer).reshape(shape),
-                                        self.n, out=_front(self._w_buf, shape))
+                    # eps and w in their buffers; the counts are dropped once read
+                    eps, w = self._sample(self._draw_counts(i, lid, layer), layer)
                     p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
-                    w = np.multiply(eps, layer.sigma, out=eps)
-                    w += layer.mu
                     p_r += prior_const[lid] + (square_sum(w, self._square_buf)
                                                / (2 * SIGMA_PRIOR ** 2))
                     layer_cache.append(a)
@@ -465,7 +460,7 @@ class Trainer:
             caches.append((layer_cache, dlogits))
         return caches, losses
 
-    def backward_pass(self, caches) -> GradAccum:
+    def backward_pass(self, caches) -> tuple[dict, dict]:
         """Fused backward + gradient stage, layers last to first.
 
         Per layer the retrieved noise reconstructs the sampled weights
@@ -481,10 +476,11 @@ class Trainer:
         dw' and of the (dmu, dsigma) sums before the next is made.  No
         other layer is called in between, so a tracer that credits time to
         the layer called last credits the blocks to their own layer.
+        Returns the (dmu, dsigma) sums, ``self.dmu`` and ``self.dsigma``.
         """
         cfg = self.cfg
-        accum = self._accum
-        accum.zero()
+        for a in (*self.dmu.values(), *self.dsigma.values()):
+            a[...] = 0
         first = next(i for i, l in enumerate(self.model.layers) if isinstance(l, BayesLayer))
         for i in range(cfg.S):
             layer_cache, e = caches[i]
@@ -492,11 +488,7 @@ class Trainer:
                 layer = self.model.layers[lid]
                 payload = layer_cache[lid]
                 if isinstance(layer, BayesLayer):
-                    shape = layer.mu.shape
-                    eps = counts_to_eps(self._retrieve_counts(i, lid, layer).reshape(shape),
-                                        self.n, out=_front(self._eps_buf, shape))
-                    w = np.multiply(eps, layer.sigma, out=_front(self._w_buf, shape))
-                    w += layer.mu
+                    eps, w = self._sample(self._retrieve_counts(i, lid, layer), layer)
                     e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
                     # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
                     # and one in-place operation at a time (each commutes,
@@ -504,13 +496,13 @@ class Trainer:
                     # all of w, and a block's rows are not read again
                     for rows, dw_lik in dw_blocks:
                         w_rows, eps_rows = w[rows], eps[rows]
-                        dw_prime = dpu_grad(w_rows, layer.mu[rows], layer.sigma[rows],
-                                            eps_rows, cfg, out=w_rows)
+                        dw_prime = dpu_grad(w_rows, layer.sigma[rows], eps_rows, cfg,
+                                            out=w_rows)
                         dw_prime *= cfg.kl_scale
                         dw_prime += dw_lik
                         del dw_lik
                         update_gradients(dw_prime, eps_rows,
-                                         accum.dmu[lid][rows], accum.dsigma[lid][rows])
+                                         self.dmu[lid][rows], self.dsigma[lid][rows])
                 else:
                     e = layer.backward(e, payload)
         if cfg.epsilon_strategy == "store":
@@ -518,17 +510,17 @@ class Trainer:
             # next step from identical generator states
             for stream, state in zip(self.streams, self._prestep_states):
                 stream.reset_to(state)
-        return accum
+        return self.dmu, self.dsigma
 
     def train_step(self, x, y) -> LossBreakdown:
         cfg = self.cfg
         caches, losses = self.forward_pass(x, y)
-        accum = self.backward_pass(caches)
+        grad_mu, grad_sigma = self.backward_pass(caches)
         scale = cfg.dtype(cfg.lr / cfg.S)
-        # SGD with no weight-sized temporary: the accumulators are scaled in
-        # place (the bits of scale * accum) and then subtracted
+        # SGD with no weight-sized temporary: the sums are scaled in place
+        # (the bits of scale * sum) and then subtracted
         for lid, layer in self.model.bayes_layers():
-            dmu, dsigma = accum.dmu[lid], accum.dsigma[lid]
+            dmu, dsigma = grad_mu[lid], grad_sigma[lid]
             dmu *= scale
             layer.mu -= dmu
             dsigma *= scale
@@ -633,16 +625,17 @@ def load_checkpoint(path) -> list[dict]:
             size = math.prod(dims)
             mu, sigma = (
                 np.frombuffer(read_exact(f, 4 * size, f"truncated checkpoint layer {i} {name}"),
-                              dtype="<f4").reshape(shape).copy()
+                              dtype="<f4").reshape(shape)
                 for name in ("mu", "sigma"))
-            out.append({"kind": kind, "dims": tuple(dims), "mu": mu, "sigma": sigma})
+            out.append({"kind": kind, "mu": mu, "sigma": sigma})
         expect_end(f, "checkpoint")
     return out
 
 
 def apply_checkpoint(model: Model, entries: list[dict]) -> None:
-    """Sets every Bayesian layer's (mu, sigma) from ``load_checkpoint``'s
-    entries, once each entry's kind and shape match its layer's."""
+    """Sets every Bayesian layer's (mu, sigma) to float32 copies of
+    ``load_checkpoint``'s entries, once each entry's kind and shape match
+    its layer's; the model's parameters need not be initialised first."""
     bayes = model.bayes_layers()
     if len(bayes) != len(entries):
         raise ValueError("checkpoint layer count mismatch")
@@ -651,5 +644,5 @@ def apply_checkpoint(model: Model, entries: list[dict]) -> None:
             raise ValueError(f"checkpoint layer {i} is {entry['kind']} {entry['mu'].shape}, "
                              f"but {model.name} has {layer.kind} {layer.weight_shape}")
     for (_, layer), entry in zip(bayes, entries):
-        layer.mu = entry["mu"].astype(layer.mu.dtype)
-        layer.sigma = entry["sigma"].astype(layer.sigma.dtype)
+        layer.mu = np.array(entry["mu"], np.float32)
+        layer.sigma = np.array(entry["sigma"], np.float32)

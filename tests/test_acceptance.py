@@ -202,9 +202,11 @@ def test_06_gradient_finite_differences():
     x = rng.random((4, 1, 10, 10)).astype(np.float64)
     y = rng.integers(0, 10, 4)
     cfg = TrainConfig(S=2, master_seed=13, grad_mode="exact", kl_scale=1.0,
-                      dtype=np.float64, sigma_init=0.01)
+                      dtype=np.float64)
     model = build_toyconv()
     model.init_params(cfg)
+    for _, layer in model.bayes_layers():
+        layer.sigma[...] = 0.01
     mu0 = {i: l.mu.copy() for i, l in model.bayes_layers()}
     sig0 = {i: l.sigma.copy() for i, l in model.bayes_layers()}
 
@@ -231,7 +233,7 @@ def test_06_gradient_finite_differences():
 
     trainer = Trainer(model, cfg)
     caches, _ = trainer.forward_pass(x, y)
-    accum = trainer.backward_pass(caches)
+    dmu, dsigma = trainer.backward_pass(caches)
 
     h = 1e-5
     probe = np.random.default_rng(0)
@@ -246,7 +248,7 @@ def test_06_gradient_finite_differences():
                 (mu_p if which == "mu" else sg_p)[lid][idx] += h
                 (mu_m if which == "mu" else sg_m)[lid][idx] -= h
                 fd = (total_loss(mu_p, sg_p) - total_loss(mu_m, sg_m)) / (2 * h)
-                got = (accum.dmu if which == "mu" else accum.dsigma)[lid][idx]
+                got = (dmu if which == "mu" else dsigma)[lid][idx]
                 assert got == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
 

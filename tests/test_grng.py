@@ -194,11 +194,11 @@ class TestBlockEngine:
         assert scratch._buf is buf
 
     def test_block_peaks(self):
-        """With its scratch reserved, a block allocates little beyond its
+        """With its scratch grown, a block allocates little beyond its
         2-byte counts: a retrieval adds the 1-byte-per-draw unpack of the
         reconstructed bits."""
         k, taps, scratch = 313_600, TapSet.default(256), BlockScratch()
-        scratch.reserve(k, taps)
+        scratch.block(k, taps)
         a = grng_init(0, 0, taps, scratch)
         for block, per_draw in ((a.generate_block, 1.1 * 2), (a.retrieve_block, 3.3)):
             tracemalloc.start()

@@ -64,13 +64,13 @@ def _eps_square_sum_int64(counts, n):
 class TestPerWeightMath:
     def test_dpu_paper_mode_is_times_four(self):
         cfg = TrainConfig(grad_mode="paper")
-        assert dpu_grad(0.3, 0.0, 0.1, 0.0, cfg) == pytest.approx(1.2)
-        assert dpu_grad(0.0, 0.0, 0.1, 0.5, cfg) == 0.0
+        assert dpu_grad(0.3, 0.1, 0.0, cfg) == pytest.approx(1.2)
+        assert dpu_grad(0.0, 0.1, 0.5, cfg) == 0.0
 
     def test_dpu_exact_mode(self):
         cfg = TrainConfig(grad_mode="exact")
         # mu=0, sigma=1, eps=1 -> w=1: 4*1 - 1 = 3
-        assert dpu_grad(1.0, 0.0, 1.0, 1.0, cfg) == pytest.approx(3.0)
+        assert dpu_grad(1.0, 1.0, 1.0, cfg) == pytest.approx(3.0)
 
     def test_update_gradients_chain_rule(self):
         dmu = np.zeros(1)
@@ -486,11 +486,11 @@ class TestTrainStep:
         twin.init_params(cfg)
         mu0 = {lid: l.mu.copy() for lid, l in stepped.bayes_layers()}
         trainer = Trainer(twin, cfg)
-        accum = trainer.backward_pass(trainer.forward_pass(x[:4], y[:4])[0])
+        dmu, _ = trainer.backward_pass(trainer.forward_pass(x[:4], y[:4])[0])
         Trainer(stepped, cfg).train_step(x[:4], y[:4])
         for lid, layer in stepped.bayes_layers():
-            assert np.any(accum.dmu[lid] != 0)
-            assert np.array_equal(layer.mu, mu0[lid] - (cfg.lr / cfg.S) * accum.dmu[lid])
+            assert np.any(dmu[lid] != 0)
+            assert np.array_equal(layer.mu, mu0[lid] - (cfg.lr / cfg.S) * dmu[lid])
 
 
 class TestBackwardStopsAtFirstLayer:
@@ -523,7 +523,7 @@ class TestBackwardStopsAtFirstLayer:
         (BayesFC(5, 3), (4, 5), (4, 3)),
     ])
     def test_need_dx_false_keeps_weight_gradient(self, layer, x_shape, e_shape):
-        layer.init_params(np.random.default_rng(3), TrainConfig(dtype=np.float64))
+        layer.init_params(np.random.default_rng(3), np.float64)
         rng = np.random.default_rng(4)
         x, e = rng.standard_normal(x_shape), rng.standard_normal(e_shape)
         dx, blocks = layer.backward(x, e, layer.mu)
@@ -572,7 +572,7 @@ class TestBlockedWeightGradient:
     @pytest.mark.parametrize("n_in,n_out,x_shape,block_rows", CASES)
     def test_blocks_equal_the_whole_product(self, n_in, n_out, x_shape, block_rows):
         layer = BayesFC(n_in, n_out)
-        layer.init_params(np.random.default_rng(1), TrainConfig())
+        layer.init_params(np.random.default_rng(1), np.float32)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(x_shape).astype(np.float32)
         e = rng.standard_normal(x_shape[:-1] + (n_out,)).astype(np.float32)
@@ -587,10 +587,11 @@ class TestBlockedWeightGradient:
     def test_accumulators_equal_the_unblocked_formula(self, n_in, n_out, x_shape,
                                                       block_rows, grad_mode):
         cfg = TrainConfig(S=3, master_seed=5, grad_mode=grad_mode, kl_scale=0.25,
-                          sigma_init=0.05, epsilon_strategy="store")
+                          epsilon_strategy="store")
         model = Model([BayesFC(n_in, n_out)], name="fc", input_shape=(n_in,))
         model.init_params(cfg)
         layer = model.layers[0]
+        layer.sigma[...] = 0.05
         rng = np.random.default_rng(6)
         x = rng.random(x_shape, dtype=np.float32)
         y = rng.integers(0, n_out, size=x_shape[:-1])
@@ -602,16 +603,16 @@ class TestBlockedWeightGradient:
             eps = counts_to_eps(trainer.step_log[(i, 0)].reshape(layer.mu.shape),
                                 trainer.n, out=np.empty_like(layer.mu))
             w = eps * layer.sigma + layer.mu
-            dw_prime = (dpu_grad(w, layer.mu, layer.sigma, eps, cfg) * cfg.kl_scale
+            dw_prime = (dpu_grad(w, layer.sigma, eps, cfg) * cfg.kl_scale
                         + nn.fc_backward_weights(layer_cache[0], e))
             update_gradients(dw_prime, eps, dmu, dsigma)
-        accum = trainer.backward_pass(caches)
-        assert np.array_equal(_bits(accum.dmu[0]), _bits(dmu))
-        assert np.array_equal(_bits(accum.dsigma[0]), _bits(dsigma))
+        got_mu, got_sigma = trainer.backward_pass(caches)
+        assert np.array_equal(_bits(got_mu[0]), _bits(dmu))
+        assert np.array_equal(_bits(got_sigma[0]), _bits(dsigma))
 
     def test_fc1_backward_makes_no_weight_sized_array(self):
         layer = BayesFC(784, 400)
-        layer.init_params(np.random.default_rng(1), TrainConfig())
+        layer.init_params(np.random.default_rng(1), np.float32)
         rng = np.random.default_rng(2)
         x = rng.random((8, 784), dtype=np.float32)
         e = rng.standard_normal((8, 400)).astype(np.float32)
@@ -701,9 +702,11 @@ class TestGradientFiniteDifferences:
         """
         x, y = synthetic_batch(seed=3, count=4)
         cfg = TrainConfig(S=2, lr=1e-3, master_seed=11, grad_mode="exact",
-                          kl_scale=1.0, dtype=np.float64, sigma_init=0.01)
+                          kl_scale=1.0, dtype=np.float64)
         model = build_toyconv()
         model.init_params(cfg)
+        for _, layer in model.bayes_layers():
+            layer.sigma[...] = 0.01
         mu0 = {i: l.mu.copy() for i, l in model.bayes_layers()}
         sig0 = {i: l.sigma.copy() for i, l in model.bayes_layers()}
 
@@ -736,7 +739,7 @@ class TestGradientFiniteDifferences:
 
         trainer = Trainer(model, cfg)
         caches, _ = trainer.forward_pass(x[:4], y[:4])
-        accum = trainer.backward_pass(caches)
+        dmu, dsigma = trainer.backward_pass(caches)
 
         rng = np.random.default_rng(0)
         h = 1e-5
@@ -744,8 +747,7 @@ class TestGradientFiniteDifferences:
             flat = layer.mu.size
             for _ in range(3):
                 idx = np.unravel_index(rng.integers(flat), layer.mu.shape)
-                for accum_arr, param in ((accum.dmu[lid], "mu"),
-                                         (accum.dsigma[lid], "sigma")):
+                for accum_arr, param in ((dmu[lid], "mu"), (dsigma[lid], "sigma")):
                     mu_p = {k: v.copy() for k, v in mu0.items()}
                     mu_m = {k: v.copy() for k, v in mu0.items()}
                     sig_p = {k: v.copy() for k, v in sig0.items()}
@@ -776,6 +778,26 @@ class TestCheckpoints:
         apply_checkpoint(other, entries)
         save_checkpoint(p2, other)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loads_into_fresh_networks_that_share_no_array(self, tmp_path):
+        source = build_toyconv()
+        source.init_params(TrainConfig(S=1, master_seed=6))
+        p1, p2 = tmp_path / "a.sbnn", tmp_path / "b.sbnn"
+        save_checkpoint(p1, source)
+        entries = load_checkpoint(p1)
+        # never initialised: the load alone sets every (mu, sigma)
+        first, second = build_toyconv(), build_toyconv()
+        apply_checkpoint(first, entries)
+        save_checkpoint(p2, first)
+        assert p1.read_bytes() == p2.read_bytes()
+        apply_checkpoint(second, entries)
+        before = [(l.mu.copy(), l.sigma.copy()) for _, l in second.bayes_layers()]
+        x, y = synthetic_batch()
+        Trainer(first, TrainConfig(S=2, lr=0.1, master_seed=1)).train_step(x[:4], y[:4])
+        for (_, layer), (mu, sigma), (_, stepped) in zip(second.bayes_layers(), before,
+                                                         first.bayes_layers()):
+            assert np.array_equal(layer.mu, mu) and np.array_equal(layer.sigma, sigma)
+            assert not np.array_equal(stepped.mu, mu)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.sbnn"

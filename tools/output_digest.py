@@ -10,6 +10,8 @@ Runs the package of the checkout this script sits in, with
   3x32x32, so it exits 2): the IDX files, checkpoint, log, stdout;
 * ``verify-equivalence`` for b-mlp and b-lenet (4 steps, S=8): both
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
+* its negative control, b-lenet with ``--corrupt-second-pass`` (1 step,
+  S=2), which exits 1: both checkpoints, both EPSL logs, stdout;
 * ``cost-report`` with defaults and with ``--eps-double-read
   --samples-list 4,16``: stdout and CSV;
 * ``rng-selftest`` at seeds 0 and 12: stdout.
@@ -77,6 +79,10 @@ def runs():
         yield name, ["verify-equivalence", "--model", model, "--steps", "4",
                      "--samples", "8", "--out", name], \
             [f"{name}.{side}{ext}" for side in ("store", "shift") for ext in ("", ".epsl")]
+    name = "verify-b-lenet-corrupt"
+    yield name, ["verify-equivalence", "--model", "b-lenet", "--steps", "1", "--samples", "2",
+                 "--corrupt-second-pass", "--out", name], \
+        [f"{name}.{side}{ext}" for side in ("store", "shift") for ext in ("", ".epsl")]
     for name, extra in (("cost-default", []),
                         ("cost-double-read", ["--eps-double-read", "--samples-list", "4,16"])):
         yield name, ["cost-report", "--report", f"{name}.csv", *extra], [f"{name}.csv"]
