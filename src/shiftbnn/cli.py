@@ -153,9 +153,14 @@ def _find_idx(directory: str, stem: str) -> str:
     raise FileNotFoundError(f"no {stem}[.gz] under {directory}")
 
 
-def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
-    """(examples, labels) for 'synthetic[:count=...,classes=...]' or an IDX
-    directory; synthetic examples have shape ``dims``, drawn from ``seed``."""
+def _load_split(settings: dict, split: str, model: train.Model):
+    """(examples, labels) of one split of --dataset: 'synthetic[:count=...,
+    classes=...]', drawn from --seed in the network's input shape, or an IDX
+    directory.  Every label must name one of the network's outputs, whose
+    count is carried through the layers' ``out_shape``, and every example
+    must have the network's input shape; anything else is a ShapeMismatch.
+    """
+    spec = settings["dataset"]
     name, colon, options = spec.partition(":")
     if name == "synthetic":
         opts = {"count": 512, "classes": 4}
@@ -171,41 +176,34 @@ def resolve_dataset(spec: str, split: str, seed: int, dims: tuple[int, ...]):
                                       f">= 1, got {raw!r}") from None
         # one doubled draw sliced in half keeps the class templates shared
         # between the splits while the examples stay disjoint
-        images, labels = data.synthetic_dataset(seed, opts["count"] * 2, dims,
-                                                opts["classes"])
-        half = opts["count"]
-        if split == "test":
-            return images[half:], labels[half:]
-        return images[:half], labels[:half]
-    if os.path.isdir(spec):
-        images, labels = _IDX_NAMES[split]
-        examples = data.load_idx(_find_idx(spec, images), _find_idx(spec, labels))
-        if not len(examples[1]):
+        images, labels = data.synthetic_dataset(settings["seed"], opts["count"] * 2,
+                                                model.input_shape, opts["classes"])
+        half = slice(opts["count"], None) if split == "test" else slice(opts["count"])
+        images, labels = images[half], labels[half]
+    elif os.path.isdir(spec):
+        images, labels = data.load_idx(*(_find_idx(spec, stem) for stem in _IDX_NAMES[split]))
+        if not len(labels):
             raise ConfigError(f"dataset {spec} has no {split} examples")
-        return examples
-    raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
-
-
-def _load_split(settings: dict, split: str, model: train.Model):
-    """(examples, labels) of one dataset split.
-
-    Every label must name one of the network's outputs, whose count is
-    carried through the layers' ``out_shape``, and every example must have
-    the network's input shape; anything else is a ShapeMismatch.
-    """
-    images, labels = resolve_dataset(settings["dataset"], split, settings["seed"],
-                                     model.input_shape)
+    else:
+        raise ConfigError(f"dataset {spec!r} is neither 'synthetic' nor a directory")
     shape = model.input_shape
     for layer in model.layers:
         shape = layer.out_shape(shape)
     if labels.max() >= shape[0]:
-        raise ConfigError(f"dataset {settings['dataset']} has {split} label "
+        raise ConfigError(f"dataset {spec} has {split} label "
                           f"{labels.max()}, but {model.name} has {shape[0]} outputs")
     got = images.shape[1:]
     if got != model.input_shape:
         raise nn.ShapeMismatch(f"{model.name} takes {'x'.join(map(str, model.input_shape))} "
                                f"inputs, got {'x'.join(map(str, got))}")
     return images, labels
+
+
+def _check_out_dirs(*paths) -> None:
+    """Before any work: each file a command will write has a directory to go in."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -231,6 +229,7 @@ def _trainer(settings: dict, model: train.Model, strategy: str, kl_scale: float 
 
 
 def run_train(settings: dict, log_stream=sys.stdout) -> int:
+    _check_out_dirs(settings["out"], settings["report"])
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x_train, y_train = _load_split(settings, "train", model)
     x_val, y_val = _load_split(settings, "test", model)
@@ -348,6 +347,7 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
 
 
 def run_cost_report(settings: dict) -> int:
+    _check_out_dirs(settings["report"])
     params = costmodel.CostParams(eps_double_read=settings["eps_double_read"])
     names = (list(costmodel.MODEL_PRESETS) if settings["models"] == "all"
              else settings["models"].split(","))

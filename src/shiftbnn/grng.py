@@ -7,8 +7,9 @@ shifting, every variable drawn forward can later be retrieved backward
 in reverse order instead of being stored.
 
 The count is tracked incrementally: a forward shift changes the popcount
-by head_in - tail_out, a reverse shift by tail_in - head_out, so no
-draw re-counts the register.  A block counts its windows by doubling:
+by head_in - tail_out, a reverse shift by tail_in - head_out, so only a
+block re-counts the register: its new one, once, in ``reset_to``.  A
+block, either way (``GrngStream._block``), counts its windows by doubling:
 the sums over every 2-, 4-, ..., 128-bit window of its bits, each level
 one uint8 add of the level below, and each count adds the levels of n's
 binary form (``popcount_state`` stays the independent oracle in the
@@ -195,16 +196,7 @@ class GrngStream:
 
     def generate_block(self, k: int) -> np.ndarray:
         """k forward draws at once; returns the raw counts as a new uint16 array."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        window = state_to_window(self.lfsr)
-        buf = self.scratch.block(k, self.lfsr.taps)
-        extend_forward(window, k, self.lfsr.taps, out=buf)
-        # the window, then the k new bits, in stream order
-        full = buf[: self.n + k]
-        counts = _window_counts(full, self.n, k, buf[self.n + k :])
-        self.reset_to(window_to_state(full[k:], self.lfsr.taps, self.lfsr.position + k))
-        return counts
+        return self._block(k, backward=False)
 
     def retrieve_block(self, k: int) -> np.ndarray:
         """k backward retrievals at once; counts in retrieval (reverse) order.
@@ -214,20 +206,26 @@ class GrngStream:
         result is a reversed view of a new forward-order array, so
         ``[::-1]`` of it is contiguous and costs no copy.
         """
+        return self._block(k, backward=True)[::-1]
+
+    def _block(self, k: int, backward: bool) -> np.ndarray:
+        """k draws forward, or the k before the register backward, as new
+        uint16 counts in stream order: the k windows past the first of the
+        n + k stream bits in the scratch.  The register ends at their far
+        end, the last n bits forward and the first n backward."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        if self.lfsr.position - k < 0:
-            raise UnderflowBeforeSeed(
-                f"retrieve {k} draws at position {self.lfsr.position}"
-            )
-        window = state_to_window(self.lfsr)
-        buf = self.scratch.block(k, self.lfsr.taps)
-        extend_backward(window, k, self.lfsr.taps, out=buf)
-        # the k older bits, then the window, in stream order
-        full = buf[: k + self.n]
-        counts = _window_counts(full, self.n, k, buf[k + self.n :])
-        self.reset_to(window_to_state(full[:self.n], self.lfsr.taps, self.lfsr.position - k))
-        return counts[::-1]
+        position = self.lfsr.position + (-k if backward else k)
+        if position < 0:
+            raise UnderflowBeforeSeed(f"retrieve {k} draws at position {self.lfsr.position}")
+        n, taps = self.n, self.lfsr.taps
+        buf = self.scratch.block(k, taps)
+        extend = extend_backward if backward else extend_forward
+        extend(state_to_window(self.lfsr), k, taps, out=buf)
+        full = buf[: n + k]
+        counts = _window_counts(full, n, k, buf[n + k :])
+        self.reset_to(window_to_state(full[:n] if backward else full[k:], taps, position))
+        return counts
 
 
 def grng_init(master_seed: int, stream_id: int, taps: TapSet,

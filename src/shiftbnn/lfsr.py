@@ -327,8 +327,7 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
     elif out.shape[-1] < span:
         raise ValueError(f"out holds {out.shape[-1]} bytes, needs {span}")
     bits = out[..., k : k + 8 * n]
-    bits[..., :n] = window
-    _fill(bits, n, taps)
+    extend_forward(window, 7 * n, taps, out=bits)
     packed = out[..., k + 8 * n : span]
     packed[..., before : before + n] = np.packbits(bits, axis=-1, bitorder="little")
     _fill(packed[..., before:], n, taps)

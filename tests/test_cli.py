@@ -271,6 +271,15 @@ class TestTrain:
         assert err.endswith(", but toy-conv has 10 outputs\n")
         assert not out.exists()
 
+    def test_missing_out_directory_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.sbnn"
+        code = run(["train", "--model", "toy-conv", "--dataset", SYNTH, "--samples", "1",
+                    "--epochs", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: no directory {out.parent}\n"
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):
@@ -359,6 +368,14 @@ class TestCostReport:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: unknown model 'b-foo'")
         assert captured.out == "" and not report.exists()
+
+    def test_missing_report_directory_exits_2_before_any_summary(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.csv"
+        assert run(["cost-report", "--models", "b-mlp", "--samples-list", "8",
+                    "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {report}: no directory {report.parent}\n"
 
     @pytest.mark.parametrize("samples", ["8,x", "0"])
     def test_bad_samples_list(self, capsys, samples):
