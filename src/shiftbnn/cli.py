@@ -200,10 +200,13 @@ def _load_split(settings: dict, split: str, model: train.Model):
 
 
 def _check_out_dirs(*paths) -> None:
-    """Before any work: each file a command will write has a directory to go in."""
+    """Before any work: each file a command will write has a directory to go
+    in and is not a directory itself."""
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -275,8 +278,10 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
 
 
 class _RetrievalRecorder(train.Trainer):
-    """A trainer that keeps the counts its latest backward pass retrieved,
-    by (sample, layer id), in ``retrieved``; each pass starts a new dict."""
+    """A trainer that keeps copies of the counts its latest backward pass
+    retrieved, by (sample, layer id), in ``retrieved``; each pass starts a
+    new dict.  SHIFT retrieves into a buffer the next layer reuses, hence
+    the copies."""
 
     def backward_pass(self, caches):
         self.retrieved = {}
@@ -284,7 +289,7 @@ class _RetrievalRecorder(train.Trainer):
 
     def _retrieve_counts(self, sample_id, layer_id, layer):
         counts = super()._retrieve_counts(sample_id, layer_id, layer)
-        self.retrieved[(sample_id, layer_id)] = counts
+        self.retrieved[(sample_id, layer_id)] = counts.copy()
         return counts
 
 

@@ -64,8 +64,10 @@ def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray) -> np.ndarray:
-    """1s counts of the k windows full[i+1 : i+1+n], i < k, as a new uint16 array.
+def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """1s counts of the k windows full[i+1 : i+1+n], i < k, as uint16: in
+    ``out`` (k long) when given, else in a new array.
 
     Counting by doubling: level w holds every w-bit window sum of full[1:],
     level_w[j] = level_{w/2}[j] + level_{w/2}[j + w/2], one uint8 add into
@@ -79,7 +81,7 @@ def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray) -> np.nda
     top = min(128, 1 << (n.bit_length() - 1))
     level = full[1 : n + k]
     halves = work[: level.size], work[level.size : 2 * level.size]
-    counts = np.empty(k, np.uint16)
+    counts = np.empty(k, np.uint16) if out is None else out
     w, at = 1, 0
     while True:
         # this level's parts: n // top windows of the top level, else n's bit w
@@ -104,8 +106,8 @@ class BlockScratch:
     that region with ``extend_backward``'s look-ahead window, which is dead
     once the bits are reconstructed, so both directions touch the same
     memory.  Streams that draw one at a time can share one scratch.  The
-    buffer grows to the largest request and is never handed out: the count
-    arrays the blocks return are always new.
+    buffer grows to the largest request and is never handed out: the counts
+    go to the caller's ``out`` array, or to a new one.
     """
 
     def __init__(self):
@@ -194,27 +196,34 @@ class GrngStream:
 
     # -- block API (bit-identical to repeated single draws) ------------------
 
-    def generate_block(self, k: int) -> np.ndarray:
-        """k forward draws at once; returns the raw counts as a new uint16 array."""
-        return self._block(k, backward=False)
+    def generate_block(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """k forward draws at once; returns the raw uint16 counts, written
+        into ``out`` (a uint16 array of shape (k,)) when given, else into a
+        new array."""
+        return self._block(k, backward=False, out=out)
 
-    def retrieve_block(self, k: int) -> np.ndarray:
+    def retrieve_block(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """k backward retrievals at once; counts in retrieval (reverse) order.
 
         Runs the reverse recurrence (``extend_backward``) from the current
         register alone and leaves the stream k positions earlier.  The
-        result is a reversed view of a new forward-order array, so
-        ``[::-1]`` of it is contiguous and costs no copy.
+        result is a reversed view of a forward-order array, ``out`` when
+        given (as in ``generate_block``), else a new one, so ``[::-1]`` of
+        it costs no copy.
         """
-        return self._block(k, backward=True)[::-1]
+        return self._block(k, backward=True, out=out)[::-1]
 
-    def _block(self, k: int, backward: bool) -> np.ndarray:
-        """k draws forward, or the k before the register backward, as new
-        uint16 counts in stream order: the k windows past the first of the
-        n + k stream bits in the scratch.  The register ends at their far
-        end, the last n bits forward and the first n backward."""
+    def _block(self, k: int, backward: bool, out: np.ndarray | None) -> np.ndarray:
+        """k draws forward, or the k before the register backward, as uint16
+        counts in stream order, in ``out`` or a new array: the k windows past
+        the first of the n + k stream bits in the scratch.  The register ends
+        at their far end, the last n bits forward and the first n backward.
+        A bad k or ``out`` raises before the stream moves."""
         if k < 0:
             raise ValueError("k must be >= 0")
+        if out is not None and (out.dtype != np.uint16 or out.shape != (k,)):
+            raise ValueError(f"out must be uint16 of shape ({k},), "
+                             f"got {out.dtype} of shape {out.shape}")
         position = self.lfsr.position + (-k if backward else k)
         if position < 0:
             raise UnderflowBeforeSeed(f"retrieve {k} draws at position {self.lfsr.position}")
@@ -223,7 +232,7 @@ class GrngStream:
         extend = extend_backward if backward else extend_forward
         extend(state_to_window(self.lfsr), k, taps, out=buf)
         full = buf[: n + k]
-        counts = _window_counts(full, n, k, buf[n + k :])
+        counts = _window_counts(full, n, k, buf[n + k :], out)
         self.reset_to(window_to_state(full[:n] if backward else full[k:], taps, position))
         return counts
 

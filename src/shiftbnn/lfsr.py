@@ -180,6 +180,9 @@ def popcount_state(state: LfsrState) -> int:
 # intercept per size: 4.8 us per pass, 0.11 ns per window byte.
 _BYTES_PER_PASS = 44_000
 
+#: packed bytes extend_backward unpacks at a time, into a 64 KiB temporary
+_UNPACK_CHUNK = 1 << 13
+
 
 def state_to_window(state: LfsrState) -> np.ndarray:
     """Bit window s[p : p+n) as uint8, index 0 = R_n, index n-1 = R_1."""
@@ -311,9 +314,10 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
     extended forward to the n * 2^(m-3)-byte look-ahead window; the
     reverse recurrence then runs on the reversed bytes with every tap
     scaled by 2^(m-3), and the ceil(k / 8) bytes before the window are
-    unpacked.  With ``out`` (last axis at least ``backward_span(k, taps)``
-    long) only the n packed bytes and the unpacked bits are allocated:
-    out[..., :k + n] receives s[p-k : p+n) and the result is a view of it.
+    unpacked ``_UNPACK_CHUNK`` bytes at a time.  With ``out`` (last axis at
+    least ``backward_span(k, taps)`` long) only the n packed bytes and one
+    chunk of unpacked bits (64 KiB per row) are allocated: out[..., :k + n]
+    receives s[p-k : p+n) and the result is a view of it.
     """
     n = taps.width
     if k < 0:
@@ -332,8 +336,13 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
     packed[..., before : before + n] = np.packbits(bits, axis=-1, bitorder="little")
     _fill(packed[..., before:], n, taps)
     _fill(packed[..., ::-1], ahead, mirror)
-    unpacked = np.unpackbits(packed[..., :before], axis=-1, bitorder="little")
-    out[..., :k] = unpacked[..., 8 * before - k :]
+    # unpacked bit j is s[p - k - skip + j]: the first chunk drops skip bits
+    skip = 8 * before - k
+    for lo in range(0, before, _UNPACK_CHUNK):
+        hi, at = min(lo + _UNPACK_CHUNK, before), 8 * lo - skip
+        # unnamed, so each chunk's bits are freed before the next is unpacked
+        out[..., max(at, 0) : 8 * hi - skip] = np.unpackbits(
+            packed[..., lo:hi], axis=-1, bitorder="little")[..., max(-at, 0):]
     return out[..., :k]
 
 

@@ -29,8 +29,11 @@ is built in the w buffer.  Each ``Trainer`` keeps the two buffers
 across steps, sized by its largest layer and shared by its samples
 and layers; dw' is then built in w's buffer.  The trainer also hands its
 S streams one ``BlockScratch`` (the generator's block buffer, sized the
-same way), so the noise path allocates only the count arrays the streams
-hand out and a retrieval's unpacked bits.  sigma is fixed within a step,
+same way).  Under SHIFT the streams write each block's counts into a
+uint16 view of the front of the w buffer, which is idle until ``_sample``
+writes w, after ``counts_to_eps`` has read them; STORE's counts are new
+arrays, as they are its log.  So the SHIFT noise path allocates only a
+retrieval's unpacked bits, 64 KiB at a time.  sigma is fixed within a step,
 so the sigma terms of the log densities (-sum log sigma and the
 sqrt(2 pi) constants) are taken once per layer per step.  The three sums
 of the log densities (sum log sigma, sum eps^2 and sum w^2) go through one
@@ -390,18 +393,29 @@ class Trainer:
         return (self.scratch.nbytes + self._eps_buf.nbytes + self._w_buf.nbytes
                 + self._square_buf.nbytes)
 
+    def _lent_counts(self, layer) -> np.ndarray:
+        """A uint16 view of the front of the w buffer for SHIFT's counts of
+        ``layer``: w is idle from the draw until ``_sample`` writes it, and
+        by then ``counts_to_eps`` has read the counts."""
+        return self._w_buf.view(np.uint16)[:layer.weight_count]
+
     def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        counts = self.streams[sample_id].generate_block(layer.weight_count)
-        if self.cfg.epsilon_strategy == "store":
-            self.step_log[(sample_id, layer_id)] = counts
+        stream = self.streams[sample_id]
+        if self.cfg.epsilon_strategy == "shift":
+            return stream.generate_block(layer.weight_count, out=self._lent_counts(layer))
+        # STORE's log keeps every block, so each gets a new array
+        counts = stream.generate_block(layer.weight_count)
+        self.step_log[(sample_id, layer_id)] = counts
         return counts
 
     def _retrieve_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        """Counts in forward order, recovered per the configured strategy."""
+        """Counts in forward order, recovered per the configured strategy;
+        SHIFT's are in the w buffer (see ``_lent_counts``)."""
         if self.cfg.epsilon_strategy == "store":
             return self.step_log[(sample_id, layer_id)]
         # reverse retrieval order -> forward order
-        return self.streams[sample_id].retrieve_block(layer.weight_count)[::-1]
+        return self.streams[sample_id].retrieve_block(
+            layer.weight_count, out=self._lent_counts(layer))[::-1]
 
     def _sample(self, counts: np.ndarray, layer):
         """(eps, w = mu + eps * sigma) of one layer from its counts, in the

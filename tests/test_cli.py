@@ -280,6 +280,14 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: no directory {out.parent}\n"
 
+    def test_out_directory_itself_exits_2_before_training(self, tmp_path, capsys):
+        code = run(["train", "--model", "toy-conv", "--dataset", SYNTH, "--samples", "1",
+                    "--epochs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: it is a directory\n"
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):
@@ -376,6 +384,13 @@ class TestCostReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {report}: no directory {report.parent}\n"
+
+    def test_report_directory_itself_exits_2_before_any_summary(self, tmp_path, capsys):
+        assert run(["cost-report", "--models", "b-mlp", "--samples-list", "8",
+                    "--report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path}: it is a directory\n"
 
     @pytest.mark.parametrize("samples", ["8,x", "0"])
     def test_bad_samples_list(self, capsys, samples):

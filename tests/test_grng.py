@@ -195,19 +195,50 @@ class TestBlockEngine:
 
     def test_block_peaks(self):
         """With its scratch grown, a block allocates little beyond its
-        2-byte counts: a retrieval adds the 1-byte-per-draw unpack of the
-        reconstructed bits."""
+        2-byte counts, and with ``out`` next to nothing: numpy's 16 KiB
+        casting buffer as uint8 window sums add into the uint16 counts, and
+        in a retrieval one 64 KiB chunk of unpacked bits."""
         k, taps, scratch = 313_600, TapSet.default(256), BlockScratch()
         scratch.block(k, taps)
         a = grng_init(0, 0, taps, scratch)
-        for block, per_draw in ((a.generate_block, 1.1 * 2), (a.retrieve_block, 3.3)):
+        out = np.empty(k, np.uint16)
+        for block, into, bound in ((a.generate_block, None, 1.1 * 2 * k),
+                                   (a.retrieve_block, None, 1.1 * 2 * k),
+                                   (a.generate_block, out, 24 << 10),
+                                   (a.retrieve_block, out, 80 << 10)):
             tracemalloc.start()
             try:
-                block(k)
+                block(k, out=into)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= per_draw * k, (block.__name__, peak / k)
+            assert peak <= bound, (block.__name__, into is None, peak)
+
+    @pytest.mark.parametrize("width", [256, 24])
+    @pytest.mark.parametrize("k", [1, 450, 2 * 65_536 + 3, 313_600])
+    def test_out_holds_the_new_arrays_counts(self, width, k):
+        """2 * 65,536 + 3 draws unpack in three chunks of packed bytes, the
+        first with bits to drop (k is not a multiple of 8)."""
+        taps = TapSet.default(width)
+        a, b = grng_init(5, 1, taps), grng_init(5, 1, taps)
+        for name in ("generate_block", "retrieve_block"):
+            out = np.full(k, 0xFFFF, np.uint16)
+            got = getattr(a, name)(k, out=out)
+            assert np.shares_memory(got, out), name
+            assert np.array_equal(got, getattr(b, name)(k)), name
+            assert (a.lfsr, a.running_sum) == (b.lfsr, b.running_sum), name
+
+    @pytest.mark.parametrize("out", [np.zeros(10, np.int16), np.zeros(10, np.float32),
+                                     np.zeros(9, np.uint16), np.zeros(11, np.uint16),
+                                     np.zeros((10, 1), np.uint16)])
+    def test_bad_out_rejected_before_the_stream_moves(self, out):
+        a = grng_init(0, 0, TapSet.default(256))
+        a.generate_block(20)
+        before = (a.position, a.lfsr, a.running_sum)
+        for block in (a.generate_block, a.retrieve_block):
+            with pytest.raises(ValueError, match="out must be uint16 of shape"):
+                block(10, out=out)
+            assert (a.position, a.lfsr, a.running_sum) == before
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))

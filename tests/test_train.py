@@ -255,20 +255,32 @@ class TestForwardPass:
 
 class TestStepFootprint:
     """tracemalloc peak of one steady S=8 step at batch 8.  Backward reads
-    only 1-byte ReLU masks and pool slots, each layer's counts are dropped
-    before the next layer draws its own, and an fc likelihood gradient
-    exists one block of ``GRAD_BLOCK`` weights at a time.  SHIFT: 0.90 MiB
-    (b-mlp) and 1.05 MiB (b-lenet); STORE adds its count log: 7.70 and
-    2.00 MiB.  A whole fc1 likelihood gradient per sample read 1.46 MiB
-    (b-mlp SHIFT; 8.76 STORE), and a ReLU before each pool, which keeps a
-    full-size mask, 1.33 MiB (b-lenet SHIFT; 2.28 STORE).  Caching the
-    ReLU inputs and the intp argmax read 3.24 MiB (b-lenet); keeping either
-    the counts or the likelihood gradient of the layer above read 2.07 MiB
-    (b-mlp)."""
+    only 1-byte ReLU masks and pool slots, SHIFT draws and retrieves each
+    layer's counts into the front of the w buffer, the unpack of a
+    retrieval's bits is one 64 KiB chunk at a time, and an fc likelihood
+    gradient exists one block of ``GRAD_BLOCK`` weights at a time.  SHIFT:
+    0.41 MiB (b-mlp: the per-sample caches and one gradient block) and
+    1.05 MiB (b-lenet: conv activations); STORE adds its count log: 7.70
+    and 2.00 MiB.  A new count array per SHIFT block and a whole unpack
+    read 0.90 MiB (b-mlp).  A whole fc1 likelihood gradient per sample read
+    1.46 MiB (b-mlp SHIFT; 8.76 STORE), and a ReLU before each pool, which
+    keeps a full-size mask, 1.33 MiB (b-lenet SHIFT; 2.28 STORE).  Caching
+    the ReLU inputs and the intp argmax read 3.24 MiB (b-lenet); keeping
+    either the counts or the likelihood gradient of the layer above read
+    2.07 MiB (b-mlp).  The work buffers the trainer holds across steps
+    (``scratch_bytes``) are pinned too, so no cut in a step comes from
+    moving memory into set-up."""
 
-    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.25), ("b-mlp", 1.1)])
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.25), ("b-mlp", 0.5)])
     def test_shift_step_peak(self, name, bound_mib):
         self.check_step_peak(name, "shift", bound_mib)
+
+    @pytest.mark.parametrize("name,nbytes", [("b-mlp", 3_581_440), ("b-lenet", 702_192)])
+    def test_work_buffers_held_across_steps(self, name, nbytes):
+        model = MODEL_BUILDERS[name]()
+        cfg = TrainConfig(S=8, master_seed=0)
+        model.init_params(cfg)
+        assert Trainer(model, cfg).scratch_bytes == nbytes
 
     @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 2.1), ("b-mlp", 7.8)])
     def test_store_step_peak(self, name, bound_mib):

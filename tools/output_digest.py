@@ -9,7 +9,8 @@ Runs the package of the checkout this script sits in, with
   that this script writes from ``data.synthetic_dataset`` (b-lenet takes
   3x32x32, so it exits 2): the IDX files, checkpoint, log, stdout;
 * ``train`` for toy-conv with ``--out missing/x.sbnn``, a directory that
-  does not exist, so it exits 2: stdout;
+  does not exist, and with ``--out idx``, a directory itself; both exit 2:
+  stdout;
 * ``verify-equivalence`` for b-mlp and b-lenet (4 steps, S=8): both
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
 * its negative control, b-lenet with ``--corrupt-second-pass`` (1 step,
@@ -76,8 +77,9 @@ def runs():
                      "--samples", "8", "--batch", "16", "--epochs", "2",
                      "--out", f"{name}.sbnn", "--report", f"{name}.log"], \
             [f"{name}.sbnn", f"{name}.log"] if model == "b-mlp" else []
-    yield "train-missing-out", ["train", "--model", "toy-conv", "--dataset", "synthetic:count=64",
-                                "--epochs", "2", "--out", "missing/x.sbnn"], []
+    for name, out in (("train-missing-out", "missing/x.sbnn"), ("train-dir-out", "idx")):
+        yield name, ["train", "--model", "toy-conv", "--dataset", "synthetic:count=64",
+                     "--epochs", "2", "--out", out], []
     for model in ("b-mlp", "b-lenet"):
         name = f"verify-{model}"
         yield name, ["verify-equivalence", "--model", model, "--steps", "4",
