@@ -287,9 +287,10 @@ class _RetrievalRecorder(train.Trainer):
         self.retrieved = {}
         return super().backward_pass(caches)
 
-    def _retrieve_counts(self, sample_id, layer_id, layer):
-        counts = super()._retrieve_counts(sample_id, layer_id, layer)
-        self.retrieved[(sample_id, layer_id)] = counts.copy()
+    def _counts(self, sample_id, layer_id, layer, backward):
+        counts = super()._counts(sample_id, layer_id, layer, backward)
+        if backward:
+            self.retrieved[(sample_id, layer_id)] = counts.copy()
         return counts
 
 

@@ -393,29 +393,21 @@ class Trainer:
         return (self.scratch.nbytes + self._eps_buf.nbytes + self._w_buf.nbytes
                 + self._square_buf.nbytes)
 
-    def _lent_counts(self, layer) -> np.ndarray:
-        """A uint16 view of the front of the w buffer for SHIFT's counts of
-        ``layer``: w is idle from the draw until ``_sample`` writes it, and
-        by then ``counts_to_eps`` has read the counts."""
-        return self._w_buf.view(np.uint16)[:layer.weight_count]
-
-    def _draw_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        stream = self.streams[sample_id]
-        if self.cfg.epsilon_strategy == "shift":
-            return stream.generate_block(layer.weight_count, out=self._lent_counts(layer))
-        # STORE's log keeps every block, so each gets a new array
-        counts = stream.generate_block(layer.weight_count)
-        self.step_log[(sample_id, layer_id)] = counts
-        return counts
-
-    def _retrieve_counts(self, sample_id: int, layer_id: int, layer) -> np.ndarray:
-        """Counts in forward order, recovered per the configured strategy;
-        SHIFT's are in the w buffer (see ``_lent_counts``)."""
+    def _counts(self, sample_id: int, layer_id: int, layer, backward: bool) -> np.ndarray:
+        """``layer``'s counts for sample ``sample_id`` in forward order, drawn or
+        (``backward``) got back.  STORE draws a new array into ``step_log`` and
+        reads it back; SHIFT draws into a uint16 view of the front of the idle
+        w buffer and retrieves into it by reverse shifting."""
+        stream, k = self.streams[sample_id], layer.weight_count
         if self.cfg.epsilon_strategy == "store":
+            if not backward:
+                self.step_log[(sample_id, layer_id)] = stream.generate_block(k)
             return self.step_log[(sample_id, layer_id)]
-        # reverse retrieval order -> forward order
-        return self.streams[sample_id].retrieve_block(
-            layer.weight_count, out=self._lent_counts(layer))[::-1]
+        out = self._w_buf.view(np.uint16)[:k]
+        if backward:
+            # reverse retrieval order -> forward order
+            return stream.retrieve_block(k, out=out)[::-1]
+        return stream.generate_block(k, out=out)
 
     def _sample(self, counts: np.ndarray, layer):
         """(eps, w = mu + eps * sigma) of one layer from its counts, in the
@@ -435,7 +427,6 @@ class Trainer:
         """
         cfg = self.cfg
         self.step_log = {}
-        self._prestep_states = [s.lfsr for s in self.streams]
         # sigma is fixed within a step, so the sample-independent terms of
         # log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2 and
         # of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
@@ -456,7 +447,7 @@ class Trainer:
             for lid, layer in enumerate(self.model.layers):
                 if isinstance(layer, BayesLayer):
                     # eps and w in their buffers; the counts are dropped once read
-                    eps, w = self._sample(self._draw_counts(i, lid, layer), layer)
+                    eps, w = self._sample(self._counts(i, lid, layer, backward=False), layer)
                     p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
                     p_r += prior_const[lid] + (square_sum(w, self._square_buf)
                                                / (2 * SIGMA_PRIOR ** 2))
@@ -480,7 +471,7 @@ class Trainer:
         Per layer the retrieved noise reconstructs the sampled weights
         once, serving both the data-error propagation (the rot-180
         adjoint) and the (dmu, dsigma) updates; afterwards the SHIFT
-        streams sit exactly at their pre-step positions.  The pass ends
+        streams sit where the forward pass began.  The pass ends
         at the first Bayesian layer, which computes only its weight
         gradient: no parameter lies below it, so the input errors would
         be thrown away.  A layer's counts are dropped before the layer
@@ -502,7 +493,7 @@ class Trainer:
                 layer = self.model.layers[lid]
                 payload = layer_cache[lid]
                 if isinstance(layer, BayesLayer):
-                    eps, w = self._sample(self._retrieve_counts(i, lid, layer), layer)
+                    eps, w = self._sample(self._counts(i, lid, layer, backward=True), layer)
                     e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
                     # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
                     # and one in-place operation at a time (each commutes,
@@ -519,17 +510,21 @@ class Trainer:
                                          self.dmu[lid][rows], self.dsigma[lid][rows])
                 else:
                     e = layer.backward(e, payload)
-        if cfg.epsilon_strategy == "store":
-            # mirror SHIFT's stream restoration so both strategies start the
-            # next step from identical generator states
-            for stream, state in zip(self.streams, self._prestep_states):
-                stream.reset_to(state)
         return self.dmu, self.dsigma
 
     def train_step(self, x, y) -> LossBreakdown:
         cfg = self.cfg
+        start = [s.lfsr for s in self.streams]
         caches, losses = self.forward_pass(x, y)
         grad_mu, grad_sigma = self.backward_pass(caches)
+        # SHIFT's retrieval must walk each stream back to the register it began
+        # the step with; every stream is then set to that register
+        for i, (stream, state) in enumerate(zip(self.streams, start)):
+            if cfg.epsilon_strategy == "shift" and stream.lfsr != state:
+                raise RuntimeError(f"SHIFT stream {i} ended the step at register "
+                                   f"{stream.lfsr.bits:#x}, not at its start register "
+                                   f"{state.bits:#x}")
+            stream.reset_to(state)
         scale = cfg.dtype(cfg.lr / cfg.S)
         # SGD with no weight-sized temporary: the sums are scaled in place
         # (the bits of scale * sum) and then subtracted

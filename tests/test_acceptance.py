@@ -353,10 +353,11 @@ class _IidTrainer(Trainer):
         super().__init__(model, cfg)
         self.rng = np.random.default_rng(cfg.master_seed + 1000)
 
-    def _draw_counts(self, sample_id, layer_id, layer):
-        counts = self.rng.binomial(self.n, 0.5, layer.weight_count).astype(np.uint16)
-        self.step_log[(sample_id, layer_id)] = counts
-        return counts
+    def _counts(self, sample_id, layer_id, layer, backward):
+        if not backward:
+            self.step_log[(sample_id, layer_id)] = self.rng.binomial(
+                self.n, 0.5, layer.weight_count).astype(np.uint16)
+        return self.step_log[(sample_id, layer_id)]
 
 
 def _templates_task(seed):

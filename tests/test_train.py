@@ -318,6 +318,26 @@ class TestStreams:
                 trainer.train_step(x[:4], y[:4])
                 assert [s.lfsr for s in trainer.streams] == before, strategy
 
+    def test_shift_step_that_misses_its_start_register_raises(self):
+        class Overshoot(Trainer):
+            """Shifts stream 0 one draw on after its backward pass."""
+
+            def backward_pass(self, caches):
+                grads = super().backward_pass(caches)
+                self.start = self.streams[0].lfsr
+                self.streams[0].generate_block(1)
+                return grads
+
+        x, y = synthetic_batch()
+        cfg = TrainConfig(S=2, master_seed=2, epsilon_strategy="shift")
+        model = build_toyconv()
+        model.init_params(cfg)
+        trainer = Overshoot(model, cfg)
+        with pytest.raises(RuntimeError, match="stream 0 ") as caught:
+            trainer.train_step(x[:4], y[:4])
+        for state in (trainer.start, trainer.streams[0].lfsr):
+            assert f"{state.bits:#x}" in str(caught.value)
+
     def test_forward_pass_draws_every_weight_once(self):
         x, y = synthetic_batch()
         cfg = TrainConfig(S=2, master_seed=2)
