@@ -301,7 +301,9 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     ``step_log``, key by key in (sample, layer) order; both sides go to
     their EPSL logs as they come, so only one step's counts are held.
     """
-    steps = settings["steps"]
+    steps, out = settings["steps"], settings["out"]
+    _check_out_dirs(*(out + suffix for suffix in (".store", ".shift", ".store.epsl",
+                                                  ".shift.epsl")))
     started = time.time()
     build = _lookup(train.MODEL_BUILDERS, settings["model"], "model")
     store = _trainer(settings, build(), "store")
@@ -312,7 +314,6 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     draws = steps * settings["samples"] * sum(
         l.weight_count for _, l in store.model.bayes_layers())
 
-    out = settings["out"]
     first = None  # (step, sample, layer, draw, generated, retrieved)
     with open(out + ".store.epsl", "wb") as log_a, open(out + ".shift.epsl", "wb") as log_b:
         grng.write_epsilon_header(log_a, store.n, draws)

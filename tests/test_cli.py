@@ -347,6 +347,18 @@ class TestVerifyEquivalence:
             f"error: dataset {root} has train label 255, but b-mlp has 10 outputs\n")
         assert not (tmp_path / "v.store").exists()
 
+    def test_checkpoint_path_that_is_a_directory_exits_2_before_any_step(self, tmp_path,
+                                                                          capsys):
+        out = tmp_path / "v"
+        (tmp_path / "v.store").mkdir()
+        code = run(["verify-equivalence", "--model", "toy-conv", "--dataset", SYNTH,
+                    "--samples", "2", "--steps", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}.store: it is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.store"]
+
     def test_corrupted_taps_detected(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run(["verify-equivalence", "--model", "toy-conv",

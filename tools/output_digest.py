@@ -15,6 +15,10 @@ Runs the package of the checkout this script sits in, with
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
 * its negative control, b-lenet with ``--corrupt-second-pass`` (1 step,
   S=2), which exits 1: both checkpoints, both EPSL logs, stdout;
+* ``verify-equivalence`` for toy-conv (2 steps, S=2) with ``--out
+  verify-dir-out``, where ``verify-dir-out.store`` is a directory this
+  script makes, so it exits 2: both EPSL logs (``missing`` when nothing was
+  written), stdout;
 * ``cost-report`` with defaults and with ``--eps-double-read
   --samples-list 4,16``: stdout and CSV;
 * ``rng-selftest`` at seeds 0 and 12: stdout.
@@ -89,6 +93,9 @@ def runs():
     yield name, ["verify-equivalence", "--model", "b-lenet", "--steps", "1", "--samples", "2",
                  "--corrupt-second-pass", "--out", name], \
         [f"{name}.{side}{ext}" for side in ("store", "shift") for ext in ("", ".epsl")]
+    name = "verify-dir-out"
+    yield name, ["verify-equivalence", "--model", "toy-conv", "--steps", "2", "--samples", "2",
+                 "--out", name], [f"{name}.{side}.epsl" for side in ("store", "shift")]
     for name, extra in (("cost-default", []),
                         ("cost-double-read", ["--eps-double-read", "--samples-list", "4,16"])):
         yield name, ["cost-report", "--report", f"{name}.csv", *extra], [f"{name}.csv"]
@@ -102,6 +109,7 @@ def write_outputs(out_dir: Path) -> list[str]:
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
     files, codes = write_idx_dir(out_dir), []
+    (out_dir / "verify-dir-out.store").mkdir(exist_ok=True)
     for name, args, written in runs():
         run = subprocess.run([sys.executable, "-m", "shiftbnn.cli", *args], cwd=out_dir,
                              env=env, capture_output=True, text=True)
