@@ -10,9 +10,10 @@ reversible LFSR streams and is handled by one of two strategies:
 * SHIFT: nothing is logged; the backward pass retrieves the exact same
   values by shifting the generator streams in reverse (the reverse
   recurrence of ``lfsr.extend_backward``, from each stream's current
-  register alone), restoring every stream to its pre-step state.  Each
-  layer's ``weight_count`` says how many draws to shift back; nothing
-  about the draws is kept.
+  register alone), which walks every stream back to the register it began
+  the step with; ``train_step`` checks that it did.  Each layer's
+  ``weight_count`` says how many draws to shift back; nothing about the
+  draws is kept.
 
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
@@ -50,13 +51,12 @@ fc layer hands it out about ``GRAD_BLOCK`` (32 Ki) weights at a time,
 a block of whole rows, so no fc gradient exists at full size; a conv
 layer's is one block.
 
-Note on pattern reuse: because SHIFT ends every step with the streams
-restored to their pre-step state (that is what reversal means), the next
-step's forward shifting regenerates the same per-step noise sequence.
-The noise is therefore a fixed set of quadrature points per (sample,
-weight) rather than fresh per step; STORE mirrors this so the two
-strategies stay comparable.  Every step still draws its noise forward
-and retrieves it by the configured strategy.
+Fresh noise every step: after the backward pass, ``train_step`` sets
+every stream, under both strategies, to the register it held at the end
+of the forward pass (one n-bit register per stream, as the hardware
+would keep), so the next step draws the stretch of the stream that
+follows.  Neighbouring draws of one stream still share n - 1 of their n
+bits.
 
 The built-in networks (``MODEL_BUILDERS``) are also the cost model's
 b-mlp and b-lenet: ``costmodel.spec_from_model`` reads their shapes.
@@ -516,15 +516,17 @@ class Trainer:
         cfg = self.cfg
         start = [s.lfsr for s in self.streams]
         caches, losses = self.forward_pass(x, y)
+        drawn = [s.lfsr for s in self.streams]
         grad_mu, grad_sigma = self.backward_pass(caches)
         # SHIFT's retrieval must walk each stream back to the register it began
-        # the step with; every stream is then set to that register
-        for i, (stream, state) in enumerate(zip(self.streams, start)):
+        # the step with; every stream then goes on to where its draws ended, so
+        # the next step draws fresh noise
+        for i, (stream, state, end) in enumerate(zip(self.streams, start, drawn)):
             if cfg.epsilon_strategy == "shift" and stream.lfsr != state:
-                raise RuntimeError(f"SHIFT stream {i} ended the step at register "
+                raise RuntimeError(f"SHIFT stream {i} ended its retrieval at register "
                                    f"{stream.lfsr.bits:#x}, not at its start register "
                                    f"{state.bits:#x}")
-            stream.reset_to(state)
+            stream.reset_to(end)
         scale = cfg.dtype(cfg.lr / cfg.S)
         # SGD with no weight-sized temporary: the sums are scaled in place
         # (the bits of scale * sum) and then subtracted

@@ -398,8 +398,7 @@ def _mc_nll(trainer_cls, seed, train, held_out):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the shipped noise repeats the same draws every step, and neighbouring "
-    "draws share 255 of their 256 bits"))
+    "neighbouring draws of the shipped noise share 255 of their 256 bits"))
 def test_12_mc_predictive_nll_near_iid_noise():
     """Trained on the shipped noise, the 64-32-10 fc net's held-out Monte
     Carlo NLL is at most 1.25x that of the same training on iid B(256, 1/2)

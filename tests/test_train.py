@@ -306,17 +306,28 @@ class TestStepFootprint:
 
 
 class TestStreams:
-    def test_positions_restored_after_step(self):
+    def test_streams_end_each_step_at_their_post_forward_register(self):
+        # every step draws the next stretch of each stream, so no two steps
+        # share their noise
         x, y = synthetic_batch()
         for strategy in ("store", "shift"):
             cfg = TrainConfig(S=3, master_seed=2, epsilon_strategy=strategy)
             model = build_toyconv()
             model.init_params(cfg)
             trainer = Trainer(model, cfg)
+            per_step = sum(l.weight_count for _, l in model.bayes_layers())
+            oracles = [grng_init(2, i, TapSet.default(256)) for i in range(cfg.S)]
+            logs = []
             for _ in range(3):
-                before = [s.lfsr for s in trainer.streams]
                 trainer.train_step(x[:4], y[:4])
-                assert [s.lfsr for s in trainer.streams] == before, strategy
+                logs.append(trainer.step_log)
+                for oracle in oracles:
+                    oracle.generate_block(per_step)
+                assert [s.lfsr for s in trainer.streams] == [o.lfsr for o in oracles], strategy
+            if strategy == "store":
+                for before, after in zip(logs, logs[1:]):
+                    for key in before:
+                        assert not np.array_equal(before[key], after[key]), key
 
     def test_shift_step_that_misses_its_start_register_raises(self):
         class Overshoot(Trainer):
