@@ -278,14 +278,13 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
 
 
 class _RetrievalRecorder(train.Trainer):
-    """A trainer that keeps copies of the counts its latest backward pass
-    retrieved, by (sample, layer id), in ``retrieved``; each pass starts a
-    new dict.  SHIFT retrieves into a buffer the next layer reuses, hence
-    the copies."""
+    """A trainer that keeps copies of the counts its latest step retrieved,
+    by (sample, layer id), in ``retrieved``; each step starts a new dict.
+    SHIFT retrieves into a buffer the next layer reuses, hence the copies."""
 
-    def backward_pass(self, caches):
+    def train_step(self, x, y):
         self.retrieved = {}
-        return super().backward_pass(caches)
+        return super().train_step(x, y)
 
     def _counts(self, sample_id, layer_id, layer, backward):
         counts = super()._counts(sample_id, layer_id, layer, backward)

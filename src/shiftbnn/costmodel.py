@@ -248,7 +248,10 @@ def footprint(model: ModelSpec, S: int, strategy: str,
     STORE must hold every drawn noise value from the forward pass until
     its fused backward consumption; SHIFT holds none.  Both keep the
     parameter pairs with their gradient accumulators and the retained
-    per-sample activations.
+    per-sample activations.  ``fmaps`` charges S samples' feature maps,
+    while the trainer runs its samples one after another and holds one
+    sample's at a time; reconciling the two is left for when the model
+    gains a batch axis.
     """
     b = params.bytes_per_value
     eps = S * model.total_weights * b if strategy == "store" else 0

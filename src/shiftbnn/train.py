@@ -2,18 +2,21 @@
 
 Each training step draws one Gaussian variable per weight per ensemble
 sample (w = mu + eps * sigma), runs forward/backward/gradient stages and
-updates (mu, sigma) by plain SGD.  The noise comes from per-sample
-reversible LFSR streams and is handled by one of two strategies:
+updates (mu, sigma) by plain SGD.  The samples run one at a time: each
+sample's backward pass comes right after its own forward pass, so only
+one sample's activations are alive at once, and the (dmu, dsigma) sums
+add up in sample order.  The noise comes from per-sample reversible LFSR
+streams and is handled by one of two strategies:
 
 * STORE: the baseline; every drawn count is logged during the forward
   pass and read back during the backward pass.
-* SHIFT: nothing is logged; the backward pass retrieves the exact same
-  values by shifting the generator streams in reverse (the reverse
-  recurrence of ``lfsr.extend_backward``, from each stream's current
-  register alone), which walks every stream back to the register it began
-  the step with; ``train_step`` checks that it did.  Each layer's
-  ``weight_count`` says how many draws to shift back; nothing about the
-  draws is kept.
+* SHIFT: nothing is logged; a sample's backward pass retrieves the exact
+  same values by shifting its generator stream in reverse (the reverse
+  recurrence of ``lfsr.extend_backward``, from the stream's current
+  register alone), which walks the stream back to the register it began
+  the step with; ``train_step`` checks that it did, right after that
+  sample's backward pass.  Each layer's ``weight_count`` says how many
+  draws to shift back; nothing about the draws is kept.
 
 Both strategies produce bit-identical parameter trajectories; that
 equality is the whole point and is asserted by the test suite.
@@ -51,12 +54,12 @@ fc layer hands it out about ``GRAD_BLOCK`` (32 Ki) weights at a time,
 a block of whole rows, so no fc gradient exists at full size; a conv
 layer's is one block.
 
-Fresh noise every step: after the backward pass, ``train_step`` sets
-every stream, under both strategies, to the register it held at the end
-of the forward pass (one n-bit register per stream, as the hardware
-would keep), so the next step draws the stretch of the stream that
-follows.  Neighbouring draws of one stream still share n - 1 of their n
-bits.
+Fresh noise every step: after each sample's backward pass,
+``train_step`` sets its stream, under both strategies, to the register
+it held at the end of the sample's forward pass (one n-bit register per
+stream, as the hardware would keep), so the next step draws the stretch
+of the stream that follows.  Neighbouring draws of one stream still
+share n - 1 of their n bits.
 
 The built-in networks (``MODEL_BUILDERS``) are also the cost model's
 b-mlp and b-lenet: ``costmodel.spec_from_model`` reads their shapes.
@@ -361,10 +364,11 @@ class Trainer:
 
     ``step_log`` is STORE's count log: the counts of the latest step, one
     new array per (sample, layer id) in the order they were drawn, which
-    the backward pass reads back.  Each forward pass starts a new dict, so
-    a caller's reference to an earlier step's log stays intact.  SHIFT
-    leaves it empty.  ``dmu`` and ``dsigma`` hold the latest backward
-    pass's gradient sums per layer id.
+    the backward passes read back.  Each step starts a new dict, so a
+    caller's reference to an earlier step's log stays intact.  SHIFT
+    leaves it empty.  ``dmu`` and ``dsigma`` hold the gradient sums per
+    layer id that the latest step's backward passes added up, scaled in
+    place by its update.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, taps: TapSet | None = None):
@@ -418,19 +422,12 @@ class Trainer:
         w += layer.mu
         return eps, w
 
-    def forward_pass(self, x, y):
-        """Returns (per-sample caches, per-sample LossBreakdown list).
-
-        What backward reads is retained: each Bayesian layer's input, a
-        ReLU's bool mask and a pool's slot indices (1 byte per element);
-        the drawn counts are not (SHIFT) or go to ``step_log`` (STORE).
-        """
-        cfg = self.cfg
-        self.step_log = {}
-        # sigma is fixed within a step, so the sample-independent terms of
-        # log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2 and
-        # of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
-        # are taken once per layer
+    def _sigma_terms(self) -> tuple[dict, dict]:
+        """Per Bayesian layer id, the sigma-only terms of log q(w) and of
+        -log p(w).  sigma is fixed within a step, so the sample-independent
+        terms of log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2
+        and of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
+        are taken once per layer per step."""
         post_const, prior_const = {}, {}
         for lid, layer in enumerate(self.model.layers):
             if isinstance(layer, BayesLayer):
@@ -438,40 +435,52 @@ class Trainer:
                 post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
                 prior_const[lid] = layer.weight_count * (math.log(SIGMA_PRIOR)
                                                          + LOG_SQRT_2PI)
-        caches, losses = [], []
-        for i in range(cfg.S):
-            a = x
-            layer_cache = []
-            p_s = 0.0
-            p_r = 0.0
-            for lid, layer in enumerate(self.model.layers):
-                if isinstance(layer, BayesLayer):
-                    # eps and w in their buffers; the counts are dropped once read
-                    eps, w = self._sample(self._counts(i, lid, layer, backward=False), layer)
-                    p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
-                    p_r += prior_const[lid] + (square_sum(w, self._square_buf)
-                                               / (2 * SIGMA_PRIOR ** 2))
-                    layer_cache.append(a)
-                    a = layer.forward(a, w)
-                else:
-                    a, aux = layer.forward(a)
-                    layer_cache.append(aux)
-            nll, dlogits = nn.softmax_xent(a, y)
-            losses.append(LossBreakdown(
-                likelihood_nll=nll,
-                log_posterior=cfg.kl_scale * p_s,
-                neg_log_prior=cfg.kl_scale * p_r,
-            ))
-            caches.append((layer_cache, dlogits))
-        return caches, losses
+        return post_const, prior_const
 
-    def backward_pass(self, caches) -> tuple[dict, dict]:
-        """Fused backward + gradient stage, layers last to first.
+    def forward_pass(self, x, y, sample_id: int, sigma_terms):
+        """Sample ``sample_id``'s forward pass; returns (cache, LossBreakdown).
+
+        ``sigma_terms`` are the step's ``_sigma_terms()``.  The cache holds
+        what this sample's backward pass reads: each Bayesian layer's input,
+        a ReLU's bool mask and a pool's slot indices (1 byte per element),
+        and the logits' errors; the drawn counts are not kept (SHIFT) or go
+        to ``step_log`` (STORE).
+        """
+        cfg = self.cfg
+        post_const, prior_const = sigma_terms
+        a = x
+        layer_cache = []
+        p_s = 0.0
+        p_r = 0.0
+        for lid, layer in enumerate(self.model.layers):
+            if isinstance(layer, BayesLayer):
+                # eps and w in their buffers; the counts are dropped once read
+                eps, w = self._sample(self._counts(sample_id, lid, layer, backward=False),
+                                      layer)
+                p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
+                p_r += prior_const[lid] + (square_sum(w, self._square_buf)
+                                           / (2 * SIGMA_PRIOR ** 2))
+                layer_cache.append(a)
+                a = layer.forward(a, w)
+            else:
+                a, aux = layer.forward(a)
+                layer_cache.append(aux)
+        nll, dlogits = nn.softmax_xent(a, y)
+        return (layer_cache, dlogits), LossBreakdown(
+            likelihood_nll=nll,
+            log_posterior=cfg.kl_scale * p_s,
+            neg_log_prior=cfg.kl_scale * p_r,
+        )
+
+    def backward_pass(self, cache, sample_id: int) -> None:
+        """Sample ``sample_id``'s fused backward + gradient stage, layers last
+        to first, from the ``cache`` of its forward pass; adds its (dmu,
+        dsigma) into ``self.dmu`` and ``self.dsigma``.
 
         Per layer the retrieved noise reconstructs the sampled weights
         once, serving both the data-error propagation (the rot-180
-        adjoint) and the (dmu, dsigma) updates; afterwards the SHIFT
-        streams sit where the forward pass began.  The pass ends
+        adjoint) and the (dmu, dsigma) updates; afterwards a SHIFT
+        stream sits where the sample's forward pass began.  The pass ends
         at the first Bayesian layer, which computes only its weight
         gradient: no parameter lies below it, so the input errors would
         be thrown away.  A layer's counts are dropped before the layer
@@ -481,57 +490,64 @@ class Trainer:
         dw' and of the (dmu, dsigma) sums before the next is made.  No
         other layer is called in between, so a tracer that credits time to
         the layer called last credits the blocks to their own layer.
-        Returns the (dmu, dsigma) sums, ``self.dmu`` and ``self.dsigma``.
         """
         cfg = self.cfg
-        for a in (*self.dmu.values(), *self.dsigma.values()):
-            a[...] = 0
+        layer_cache, e = cache
         first = next(i for i, l in enumerate(self.model.layers) if isinstance(l, BayesLayer))
-        for i in range(cfg.S):
-            layer_cache, e = caches[i]
-            for lid in range(len(self.model.layers) - 1, first - 1, -1):
-                layer = self.model.layers[lid]
-                payload = layer_cache[lid]
-                if isinstance(layer, BayesLayer):
-                    eps, w = self._sample(self._counts(i, lid, layer, backward=True), layer)
-                    e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
-                    # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
-                    # and one in-place operation at a time (each commutes,
-                    # so the bits match), in w's buffer: backward has read
-                    # all of w, and a block's rows are not read again
-                    for rows, dw_lik in dw_blocks:
-                        w_rows, eps_rows = w[rows], eps[rows]
-                        dw_prime = dpu_grad(w_rows, layer.sigma[rows], eps_rows, cfg,
-                                            out=w_rows)
-                        dw_prime *= cfg.kl_scale
-                        dw_prime += dw_lik
-                        del dw_lik
-                        update_gradients(dw_prime, eps_rows,
-                                         self.dmu[lid][rows], self.dsigma[lid][rows])
-                else:
-                    e = layer.backward(e, payload)
-        return self.dmu, self.dsigma
+        for lid in range(len(self.model.layers) - 1, first - 1, -1):
+            layer = self.model.layers[lid]
+            payload = layer_cache[lid]
+            if isinstance(layer, BayesLayer):
+                eps, w = self._sample(self._counts(sample_id, lid, layer, backward=True),
+                                      layer)
+                e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
+                # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
+                # and one in-place operation at a time (each commutes,
+                # so the bits match), in w's buffer: backward has read
+                # all of w, and a block's rows are not read again
+                for rows, dw_lik in dw_blocks:
+                    w_rows, eps_rows = w[rows], eps[rows]
+                    dw_prime = dpu_grad(w_rows, layer.sigma[rows], eps_rows, cfg,
+                                        out=w_rows)
+                    dw_prime *= cfg.kl_scale
+                    dw_prime += dw_lik
+                    del dw_lik
+                    update_gradients(dw_prime, eps_rows,
+                                     self.dmu[lid][rows], self.dsigma[lid][rows])
+            else:
+                e = layer.backward(e, payload)
 
     def train_step(self, x, y) -> LossBreakdown:
+        """One step: each sample's forward pass and then its backward pass,
+        samples 0 to S - 1, so only one sample's cache is alive at a time;
+        then one SGD update from the (dmu, dsigma) sums.  Returns the
+        samples' mean loss."""
         cfg = self.cfg
-        start = [s.lfsr for s in self.streams]
-        caches, losses = self.forward_pass(x, y)
-        drawn = [s.lfsr for s in self.streams]
-        grad_mu, grad_sigma = self.backward_pass(caches)
-        # SHIFT's retrieval must walk each stream back to the register it began
-        # the step with; every stream then goes on to where its draws ended, so
-        # the next step draws fresh noise
-        for i, (stream, state, end) in enumerate(zip(self.streams, start, drawn)):
-            if cfg.epsilon_strategy == "shift" and stream.lfsr != state:
+        self.step_log = {}
+        for a in (*self.dmu.values(), *self.dsigma.values()):
+            a[...] = 0
+        sigma_terms = self._sigma_terms()
+        losses = []
+        for i, stream in enumerate(self.streams):
+            start = stream.lfsr
+            cache, loss = self.forward_pass(x, y, i, sigma_terms)
+            drawn = stream.lfsr
+            self.backward_pass(cache, i)
+            del cache  # else it lives on through the next sample's forward pass
+            # SHIFT's retrieval must walk the stream back to the register it
+            # began the step with; the stream then goes on to where its draws
+            # ended, so the next step draws fresh noise
+            if cfg.epsilon_strategy == "shift" and stream.lfsr != start:
                 raise RuntimeError(f"SHIFT stream {i} ended its retrieval at register "
                                    f"{stream.lfsr.bits:#x}, not at its start register "
-                                   f"{state.bits:#x}")
-            stream.reset_to(end)
+                                   f"{start.bits:#x}")
+            stream.reset_to(drawn)
+            losses.append(loss)
         scale = cfg.dtype(cfg.lr / cfg.S)
         # SGD with no weight-sized temporary: the sums are scaled in place
         # (the bits of scale * sum) and then subtracted
         for lid, layer in self.model.bayes_layers():
-            dmu, dsigma = grad_mu[lid], grad_sigma[lid]
+            dmu, dsigma = self.dmu[lid], self.dsigma[lid]
             dmu *= scale
             layer.mu -= dmu
             dsigma *= scale

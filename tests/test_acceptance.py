@@ -234,8 +234,11 @@ def test_06_gradient_finite_differences():
         return total
 
     trainer = Trainer(model, cfg)
-    caches, _ = trainer.forward_pass(x, y)
-    dmu, dsigma = trainer.backward_pass(caches)
+    sigma_terms = trainer._sigma_terms()
+    for i in range(cfg.S):
+        cache, _ = trainer.forward_pass(x, y, i, sigma_terms)
+        trainer.backward_pass(cache, i)
+    dmu, dsigma = trainer.dmu, trainer.dsigma
 
     h = 1e-5
     probe = np.random.default_rng(0)

@@ -182,7 +182,9 @@ class TestFootprint:
             cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy=strategy)
             model.init_params(cfg)
             trainer = Trainer(model, cfg)
-            trainer.forward_pass(x, y)
+            sigma_terms = trainer._sigma_terms()
+            for i in range(cfg.S):
+                trainer.forward_pass(x, y, i, sigma_terms)
             logged = sum(counts.nbytes for counts in trainer.step_log.values())
             assert logged == (eps if strategy == "store" else 0), strategy
             assert len(trainer.step_log) == (8 * len(model.bayes_layers())

@@ -38,6 +38,23 @@ def synthetic_batch(seed=0, count=32, dims=(10, 10), classes=4):
     return x[:, None].astype(np.float32), y
 
 
+def forward_passes(trainer, x, y):
+    """Every sample's forward pass on one batch, with the step's sigma
+    terms: [(cache, loss)] in sample order."""
+    sigma_terms = trainer._sigma_terms()
+    return [trainer.forward_pass(x, y, i, sigma_terms) for i in range(trainer.cfg.S)]
+
+
+def gradient_sums(trainer, x, y):
+    """(dmu, dsigma) of one batch before any update: each sample's forward
+    pass and then its backward pass, as ``train_step`` runs them."""
+    sigma_terms = trainer._sigma_terms()
+    for i in range(trainer.cfg.S):
+        cache, _ = trainer.forward_pass(x, y, i, sigma_terms)
+        trainer.backward_pass(cache, i)
+    return trainer.dmu, trainer.dsigma
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -158,12 +175,12 @@ class TestForwardPass:
         trainer = Trainer(model, cfg)
         x = np.array([[0.1, -0.2, 0.3, 0.4]], dtype=np.float32)
         with pytest.warns(RuntimeWarning, match="divide by zero"):
-            caches, losses = trainer.forward_pass(x, np.array([0]))
+            passes = forward_passes(trainer, x, np.array([0]))
         # log q(w) of a point mass is unbounded
-        assert all(l.log_posterior == np.inf for l in losses)
+        assert all(l.log_posterior == np.inf for _, l in passes)
         # every sample ran with w = mu = I, so its logits were x itself
         _, expect = nn.softmax_xent(x, np.array([0]))
-        for _, dlogits in caches:
+        for (_, dlogits), _ in passes:
             assert np.array_equal(dlogits, expect)
 
     @pytest.mark.parametrize("build", [build_toyconv, lambda: Model([
@@ -179,8 +196,7 @@ class TestForwardPass:
         x, y = synthetic_batch(count=4)
         if model.name == "small-fc":
             x = x.reshape(4, 100)
-        _, losses = Trainer(model, cfg).forward_pass(x, y)
-        for s, loss in enumerate(losses):
+        for s, (_, loss) in enumerate(forward_passes(Trainer(model, cfg), x, y)):
             # the per-element float64 formulas, on independently drawn noise
             stream = grng_init(8, s, TapSet.default(256))
             post = prior = 0.0
@@ -205,9 +221,9 @@ class TestForwardPass:
             cfg = TrainConfig(S=2, master_seed=9)
             model = build_toyconv()
             model.init_params(cfg)
-            _, losses = Trainer(model, cfg).forward_pass(x[:4], y[:4])
+            passes = forward_passes(Trainer(model, cfg), x[:4], y[:4])
             results.append([(l.likelihood_nll, l.log_posterior, l.neg_log_prior)
-                            for l in losses])
+                            for _, l in passes])
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
@@ -237,7 +253,7 @@ class TestForwardPass:
         trainer.train_step(x, y)  # warm-up
         tracemalloc.start()
         try:
-            trainer.forward_pass(x, y)
+            forward_passes(trainer, x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,32 +264,45 @@ class TestForwardPass:
         cfg = TrainConfig(S=2, master_seed=1)
         model = build_toyconv()
         model.init_params(cfg)
-        _, losses = Trainer(model, cfg).forward_pass(x[:4], y[:4])
-        for l in losses:
+        for _, l in forward_passes(Trainer(model, cfg), x[:4], y[:4]):
             assert l.total == l.likelihood_nll + l.log_posterior + l.neg_log_prior
 
 
 class TestStepFootprint:
-    """tracemalloc peak of one steady S=8 step at batch 8.  Backward reads
-    only 1-byte ReLU masks and pool slots, SHIFT draws and retrieves each
-    layer's counts into the front of the w buffer, the unpack of a
-    retrieval's bits is one 64 KiB chunk at a time, and an fc likelihood
-    gradient exists one block of ``GRAD_BLOCK`` weights at a time.  SHIFT:
-    0.41 MiB (b-mlp: the per-sample caches and one gradient block) and
-    1.05 MiB (b-lenet: conv activations); STORE adds its count log: 7.70
-    and 2.00 MiB.  A new count array per SHIFT block and a whole unpack
-    read 0.90 MiB (b-mlp).  A whole fc1 likelihood gradient per sample read
-    1.46 MiB (b-mlp SHIFT; 8.76 STORE), and a ReLU before each pool, which
-    keeps a full-size mask, 1.33 MiB (b-lenet SHIFT; 2.28 STORE).  Caching
-    the ReLU inputs and the intp argmax read 3.24 MiB (b-lenet); keeping
-    either the counts or the likelihood gradient of the layer above read
-    2.07 MiB (b-mlp).  The work buffers the trainer holds across steps
-    (``scratch_bytes``) are pinned too, so no cut in a step comes from
-    moving memory into set-up."""
+    """tracemalloc peak of one steady step at batch 8.  Each sample runs its
+    backward pass right after its forward pass, so only one sample's cache
+    is alive at a time; backward reads only 1-byte ReLU masks and pool
+    slots, SHIFT draws and retrieves each layer's counts into the front of
+    the w buffer, the unpack of a retrieval's bits is one 64 KiB chunk at a
+    time, and an fc likelihood gradient exists one block of ``GRAD_BLOCK``
+    weights at a time.  At S=8, SHIFT: 0.19 MiB (b-mlp: one sample's
+    caches and one gradient block) and 0.48 MiB (b-lenet: one sample's conv
+    activations and conv1's weight gradient); STORE adds its count log:
+    7.48 and 1.42 MiB.  All S forward passes before any backward pass,
+    which keeps S samples' caches alive, read 0.41 and 1.05 MiB (SHIFT)
+    and 7.70 and 2.00 MiB (STORE).  A new count array per SHIFT block and
+    a whole unpack read 0.90 MiB (b-mlp).  A whole fc1 likelihood gradient
+    per sample read 1.46 MiB (b-mlp SHIFT; 8.76 STORE), and a ReLU before
+    each pool, which keeps a full-size mask, 1.33 MiB (b-lenet SHIFT; 2.28
+    STORE).  Caching the ReLU inputs and the intp argmax read 3.24 MiB
+    (b-lenet); keeping either the counts or the likelihood gradient of the
+    layer above read 2.07 MiB (b-mlp).  The work buffers the trainer holds
+    across steps (``scratch_bytes``) are pinned too, so no cut in a step
+    comes from moving memory into set-up."""
 
-    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.25), ("b-mlp", 0.5)])
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 0.55), ("b-mlp", 0.22)],
+                             ids=["b-lenet", "b-mlp"])
     def test_shift_step_peak(self, name, bound_mib):
-        self.check_step_peak(name, "shift", bound_mib)
+        peak = self.step_peak(name, "shift")
+        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("name", ["b-lenet", "b-mlp"])
+    def test_shift_step_peak_does_not_grow_with_samples(self, name):
+        # one sample's cache at a time: S=8 peaks within 16 KiB of S=1 (it
+        # read 1.7 KiB above on b-mlp, 6.8 KiB on b-lenet), where S caches
+        # alive at once added 0.22 MiB (b-mlp) and 0.58 MiB (b-lenet)
+        one, eight = self.step_peak(name, "shift", S=1), self.step_peak(name, "shift")
+        assert eight - one <= 16 * 2 ** 10, (one, eight)
 
     @pytest.mark.parametrize("name,nbytes", [("b-mlp", 3_581_440), ("b-lenet", 702_192)])
     def test_work_buffers_held_across_steps(self, name, nbytes):
@@ -282,27 +311,29 @@ class TestStepFootprint:
         model.init_params(cfg)
         assert Trainer(model, cfg).scratch_bytes == nbytes
 
-    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 2.1), ("b-mlp", 7.8)])
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.5), ("b-mlp", 7.55)],
+                             ids=["b-lenet", "b-mlp"])
     def test_store_step_peak(self, name, bound_mib):
-        self.check_step_peak(name, "store", bound_mib)
+        peak = self.step_peak(name, "store")
+        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
 
     @staticmethod
-    def check_step_peak(name, strategy, bound_mib):
+    def step_peak(name, strategy, S=8) -> int:
+        """Peak bytes of the second of two steps of an S-sample trainer."""
         model = MODEL_BUILDERS[name]()
         rng = np.random.default_rng(0)
         x = rng.random((16,) + model.input_shape, dtype=np.float32)
         y = np.arange(16) % 10
-        cfg = TrainConfig(S=8, master_seed=0, epsilon_strategy=strategy)
+        cfg = TrainConfig(S=S, master_seed=0, epsilon_strategy=strategy)
         model.init_params(cfg)
         trainer = Trainer(model, cfg)
         trainer.train_step(x[:8], y[:8])  # warm-up
         tracemalloc.start()
         try:
             trainer.train_step(x[8:], y[8:])
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
 
 
 class TestStreams:
@@ -331,23 +362,38 @@ class TestStreams:
 
     def test_shift_step_that_misses_its_start_register_raises(self):
         class Overshoot(Trainer):
-            """Shifts stream 0 one draw on after its backward pass."""
+            """Shifts each stream from ``first_miss`` on one draw on after its
+            sample's backward pass, and records the passes that ran."""
 
-            def backward_pass(self, caches):
-                grads = super().backward_pass(caches)
-                self.start = self.streams[0].lfsr
-                self.streams[0].generate_block(1)
-                return grads
+            def forward_pass(self, x, y, sample_id, sigma_terms):
+                self.ran.append(("forward", sample_id))
+                return super().forward_pass(x, y, sample_id, sigma_terms)
+
+            def backward_pass(self, cache, sample_id):
+                super().backward_pass(cache, sample_id)
+                self.ran.append(("backward", sample_id))
+                if sample_id >= self.first_miss:
+                    self.start = self.streams[sample_id].lfsr
+                    self.streams[sample_id].generate_block(1)
 
         x, y = synthetic_batch()
-        cfg = TrainConfig(S=2, master_seed=2, epsilon_strategy="shift")
-        model = build_toyconv()
-        model.init_params(cfg)
-        trainer = Overshoot(model, cfg)
-        with pytest.raises(RuntimeError, match="stream 0 ") as caught:
-            trainer.train_step(x[:4], y[:4])
-        for state in (trainer.start, trainer.streams[0].lfsr):
-            assert f"{state.bits:#x}" in str(caught.value)
+        cfg = TrainConfig(S=3, master_seed=2, epsilon_strategy="shift")
+        for first_miss in (0, 1):
+            model = build_toyconv()
+            model.init_params(cfg)
+            before = [(l.mu.copy(), l.sigma.copy()) for _, l in model.bayes_layers()]
+            trainer = Overshoot(model, cfg)
+            trainer.first_miss, trainer.ran = first_miss, []
+            with pytest.raises(RuntimeError, match=f"stream {first_miss} ") as caught:
+                trainer.train_step(x[:4], y[:4])
+            for state in (trainer.start, trainer.streams[first_miss].lfsr):
+                assert f"{state.bits:#x}" in str(caught.value)
+            # checked right after the missing sample's backward pass: no later
+            # sample ran, and no parameter moved
+            assert trainer.ran == [(p, i) for i in range(first_miss + 1)
+                                   for p in ("forward", "backward")]
+            for (mu, sigma), (_, layer) in zip(before, model.bayes_layers()):
+                assert np.array_equal(layer.mu, mu) and np.array_equal(layer.sigma, sigma)
 
     def test_forward_pass_draws_every_weight_once(self):
         x, y = synthetic_batch()
@@ -355,7 +401,7 @@ class TestStreams:
         model = build_toyconv()
         model.init_params(cfg)
         trainer = Trainer(model, cfg)
-        trainer.forward_pass(x[:4], y[:4])
+        forward_passes(trainer, x[:4], y[:4])
         per_sample = sum(l.weight_count for _, l in model.bayes_layers())
         assert [s.position for s in trainer.streams] == [per_sample] * 2
 
@@ -529,7 +575,7 @@ class TestTrainStep:
         twin.init_params(cfg)
         mu0 = {lid: l.mu.copy() for lid, l in stepped.bayes_layers()}
         trainer = Trainer(twin, cfg)
-        dmu, _ = trainer.backward_pass(trainer.forward_pass(x[:4], y[:4])[0])
+        dmu, _ = gradient_sums(trainer, x[:4], y[:4])
         Trainer(stepped, cfg).train_step(x[:4], y[:4])
         for lid, layer in stepped.bayes_layers():
             assert np.any(dmu[lid] != 0)
@@ -639,17 +685,20 @@ class TestBlockedWeightGradient:
         x = rng.random(x_shape, dtype=np.float32)
         y = rng.integers(0, n_out, size=x_shape[:-1])
         trainer = Trainer(model, cfg)
-        caches, _ = trainer.forward_pass(x, y)
-        # the whole-layer formula, from the logged counts
+        sigma_terms = trainer._sigma_terms()
         dmu, dsigma = np.zeros_like(layer.mu), np.zeros_like(layer.sigma)
-        for i, (layer_cache, e) in enumerate(caches):
+        for i in range(cfg.S):
+            cache, _ = trainer.forward_pass(x, y, i, sigma_terms)
+            # the whole-layer formula, from the logged counts
+            layer_cache, e = cache
             eps = counts_to_eps(trainer.step_log[(i, 0)].reshape(layer.mu.shape),
                                 trainer.n, out=np.empty_like(layer.mu))
             w = eps * layer.sigma + layer.mu
             dw_prime = (dpu_grad(w, layer.sigma, eps, cfg) * cfg.kl_scale
                         + nn.fc_backward_weights(layer_cache[0], e))
             update_gradients(dw_prime, eps, dmu, dsigma)
-        got_mu, got_sigma = trainer.backward_pass(caches)
+            trainer.backward_pass(cache, i)
+        got_mu, got_sigma = trainer.dmu, trainer.dsigma
         assert np.array_equal(_bits(got_mu[0]), _bits(dmu))
         assert np.array_equal(_bits(got_sigma[0]), _bits(dsigma))
 
@@ -780,9 +829,7 @@ class TestGradientFiniteDifferences:
                 total += nll
             return total
 
-        trainer = Trainer(model, cfg)
-        caches, _ = trainer.forward_pass(x[:4], y[:4])
-        dmu, dsigma = trainer.backward_pass(caches)
+        dmu, dsigma = gradient_sums(Trainer(model, cfg), x[:4], y[:4])
 
         rng = np.random.default_rng(0)
         h = 1e-5
