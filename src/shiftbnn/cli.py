@@ -59,6 +59,12 @@ def _switch(raw):
 _count = _at_least(1)
 
 
+def _path(raw):
+    if not raw:
+        raise ValueError(raw)
+    return raw
+
+
 class Setting(NamedTuple):
     parse: Callable[[str], object]
     default: object  # None: the command picks (batch, kl_scale) or skips (limit, report)
@@ -78,8 +84,8 @@ SETTINGS = {
     "kl_scale": Setting(_at_least(0.0, float), None, "a finite number >= 0"),  # 1 / batches
     "limit": Setting(_count, None, "an integer >= 1"),
     "steps": Setting(_count, 50, "an integer >= 1"),
-    "out": Setting(str, "checkpoint.sbnn", "a path"),
-    "report": Setting(str, None, "a path"),
+    "out": Setting(_path, "checkpoint.sbnn", "a non-empty path"),
+    "report": Setting(_path, None, "a non-empty path"),
     "eps_double_read": Setting(_switch, False, "true or false"),
     "samples_list": Setting(lambda raw: [_count(s) for s in raw.split(",")],
                             (8, 16, 32, 64, 128), "comma-separated integers >= 1"),
@@ -278,9 +284,10 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
 
 
 class _RetrievalRecorder(train.Trainer):
-    """A trainer that keeps copies of the counts its latest step retrieved,
-    by (sample, layer id), in ``retrieved``; each step starts a new dict.
-    SHIFT retrieves into a buffer the next layer reuses, hence the copies."""
+    """A trainer that keeps copies of the counts its latest step retrieved
+    (SHIFT) or read back from its log (STORE), by (sample, layer id), in
+    ``retrieved``; each step starts a new dict.  SHIFT retrieves into a
+    buffer the next layer reuses, hence the copies."""
 
     def train_step(self, x, y):
         self.retrieved = {}
@@ -296,16 +303,17 @@ class _RetrievalRecorder(train.Trainer):
 def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) -> int:
     """Steps a STORE and a SHIFT trainer in lockstep on the same batches.
 
-    After each step, the counts SHIFT retrieved must equal STORE's
-    ``step_log``, key by key in (sample, layer) order; both sides go to
-    their EPSL logs as they come, so only one step's counts are held.
+    After each step, the counts SHIFT retrieved must equal the ones STORE
+    read back from its log, key by key in (sample, layer) order; both
+    sides go to their EPSL logs as they come, so only one step's counts
+    are held.
     """
     steps, out = settings["steps"], settings["out"]
     _check_out_dirs(*(out + suffix for suffix in (".store", ".shift", ".store.epsl",
                                                   ".shift.epsl")))
     started = time.time()
     build = _lookup(train.MODEL_BUILDERS, settings["model"], "model")
-    store = _trainer(settings, build(), "store")
+    store = _trainer(settings, build(), "store", cls=_RetrievalRecorder)
     x, y = _load_split(settings, "train", store.model)
     taps = lfsr.TapSet(256, (1, 2, 3, 256)) if corrupt_second_pass else None
     shift = _trainer(settings, build(), "shift", cls=_RetrievalRecorder, taps=taps)
@@ -321,8 +329,8 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
             lo = (step * batch) % len(x)
             store.train_step(x[lo:lo + batch], y[lo:lo + batch])
             shift.train_step(x[lo:lo + batch], y[lo:lo + batch])
-            for key in sorted(store.step_log):
-                gen, ret = store.step_log[key], shift.retrieved[key]
+            for key in sorted(store.retrieved):
+                gen, ret = store.retrieved[key], shift.retrieved[key]
                 log_a.write(np.ascontiguousarray(gen, "<u2"))
                 log_b.write(np.ascontiguousarray(ret, "<u2"))
                 if first is None and not np.array_equal(gen, ret):

@@ -246,7 +246,11 @@ def footprint(model: ModelSpec, S: int, strategy: str,
     """Peak off-chip residency in bytes, by category.
 
     STORE must hold every drawn noise value from the forward pass until
-    its fused backward consumption; SHIFT holds none.  Both keep the
+    its fused backward consumption; SHIFT holds none.  ``eps`` charges S
+    samples' noise, the residency of a schedule that runs every forward
+    pass before any backward pass, while the trainer drops each block when
+    its sample's backward pass reads it and so holds at most one sample's
+    noise; which of the two the model means is open.  Both keep the
     parameter pairs with their gradient accumulators and the retained
     per-sample activations.  ``fmaps`` charges S samples' feature maps,
     while the trainer runs its samples one after another and holds one

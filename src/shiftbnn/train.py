@@ -9,7 +9,8 @@ add up in sample order.  The noise comes from per-sample reversible LFSR
 streams and is handled by one of two strategies:
 
 * STORE: the baseline; every drawn count is logged during the forward
-  pass and read back during the backward pass.
+  pass and read back, once, during the same sample's backward pass, which
+  drops it from the log; so the log holds at most one sample's counts.
 * SHIFT: nothing is logged; a sample's backward pass retrieves the exact
   same values by shifting its generator stream in reverse (the reverse
   recurrence of ``lfsr.extend_backward``, from the stream's current
@@ -362,13 +363,14 @@ def _front(buf: np.ndarray, shape) -> np.ndarray:
 class Trainer:
     """Bayes-by-backprop steps on one model under the configured strategy.
 
-    ``step_log`` is STORE's count log: the counts of the latest step, one
-    new array per (sample, layer id) in the order they were drawn, which
-    the backward passes read back.  Each step starts a new dict, so a
-    caller's reference to an earlier step's log stays intact.  SHIFT
-    leaves it empty.  ``dmu`` and ``dsigma`` hold the gradient sums per
-    layer id that the latest step's backward passes added up, scaled in
-    place by its update.
+    ``step_log`` is STORE's count log: one new array per (sample, layer
+    id), put in when the forward pass draws it and taken out when the
+    same sample's backward pass reads it back.  So it holds only the
+    current sample's unread blocks, and it is empty after each sample's
+    backward pass and between steps; the arrays it handed out stay the
+    caller's.  SHIFT leaves it empty.  ``dmu`` and ``dsigma`` hold the
+    gradient sums per layer id that the latest step's backward passes
+    added up, scaled in place by its update.
     """
 
     def __init__(self, model: Model, cfg: TrainConfig, taps: TapSet | None = None):
@@ -400,13 +402,15 @@ class Trainer:
     def _counts(self, sample_id: int, layer_id: int, layer, backward: bool) -> np.ndarray:
         """``layer``'s counts for sample ``sample_id`` in forward order, drawn or
         (``backward``) got back.  STORE draws a new array into ``step_log`` and
-        reads it back; SHIFT draws into a uint16 view of the front of the idle
-        w buffer and retrieves into it by reverse shifting."""
+        takes it back out, so each block is read back once; SHIFT draws into
+        a uint16 view of the front of the idle w buffer and retrieves into it
+        by reverse shifting."""
         stream, k = self.streams[sample_id], layer.weight_count
         if self.cfg.epsilon_strategy == "store":
-            if not backward:
-                self.step_log[(sample_id, layer_id)] = stream.generate_block(k)
-            return self.step_log[(sample_id, layer_id)]
+            if backward:
+                return self.step_log.pop((sample_id, layer_id))
+            counts = self.step_log[(sample_id, layer_id)] = stream.generate_block(k)
+            return counts
         out = self._w_buf.view(np.uint16)[:k]
         if backward:
             # reverse retrieval order -> forward order
@@ -523,7 +527,6 @@ class Trainer:
         then one SGD update from the (dmu, dsigma) sums.  Returns the
         samples' mean loss."""
         cfg = self.cfg
-        self.step_log = {}
         for a in (*self.dmu.values(), *self.dsigma.values()):
             a[...] = 0
         sigma_terms = self._sigma_terms()

@@ -350,17 +350,18 @@ def test_11_latency_model_direction():
 
 class _IidTrainer(Trainer):
     """The reference noise: fresh iid B(256, 1/2) counts for every draw,
-    logged for a STORE backward pass to read back."""
+    logged for a STORE backward pass to read back once, as ``Trainer`` does."""
 
     def __init__(self, model, cfg):
         super().__init__(model, cfg)
         self.rng = np.random.default_rng(cfg.master_seed + 1000)
 
     def _counts(self, sample_id, layer_id, layer, backward):
-        if not backward:
-            self.step_log[(sample_id, layer_id)] = self.rng.binomial(
-                self.n, 0.5, layer.weight_count).astype(np.uint16)
-        return self.step_log[(sample_id, layer_id)]
+        if backward:
+            return self.step_log.pop((sample_id, layer_id))
+        counts = self.step_log[(sample_id, layer_id)] = self.rng.binomial(
+            self.n, 0.5, layer.weight_count).astype(np.uint16)
+        return counts
 
 
 def _templates_task(seed):

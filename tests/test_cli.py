@@ -116,6 +116,33 @@ class TestSettingsTable:
             assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
         assert os.listdir(tmp_path) == ["c.conf"]
 
+    @pytest.mark.parametrize("command,key", [
+        ("train", "out"),
+        ("train", "report"),
+        ("cost-report", "report"),
+        ("verify-equivalence", "out"),
+    ])
+    def test_empty_path_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                command, key):
+        # an empty path was skipped by the directory check: train ran every
+        # epoch before failing to open it, --report wrote nothing and
+        # verify-equivalence wrote the hidden files .store and .shift
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"{key} =\n")
+        small = {"train": ["--model", "toy-conv", "--dataset", SYNTH, "--samples", "1",
+                           "--epochs", "2"],
+                 "verify-equivalence": ["--model", "toy-conv", "--dataset", SYNTH,
+                                        "--samples", "1", "--steps", "1"],
+                 "cost-report": ["--models", "b-mlp", "--samples-list", "8"]}[command]
+        for argv in ([command, *small, "--" + key, ""],
+                     [command, *small, "--config", str(conf)]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {key} must be a non-empty path, got ''\n"
+        assert os.listdir(tmp_path) == ["c.conf"]
+
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "toy-conv", "--dataset", SYNTH, "--samples", "1"],
         ["verify-equivalence", "--model", "toy-conv", "--dataset", SYNTH,

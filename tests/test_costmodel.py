@@ -171,8 +171,11 @@ class TestFootprint:
 
     @pytest.mark.parametrize("name,store_mib", [("b-mlp", 7.29), ("b-lenet", 0.94)])
     def test_store_eps_equals_the_trainers_count_log(self, name, store_mib):
-        """The modelled noise residency is what an S=8 STORE forward pass
-        logs (2 bytes per count), and SHIFT logs nothing."""
+        """The modelled noise residency is what S=8 STORE forward passes
+        log (2 bytes per count) when no backward pass has read it yet, and
+        SHIFT logs nothing.  In a training step each sample's backward pass
+        takes its blocks out of the log, so the trainer holds at most one
+        sample's noise where the model charges S samples'."""
         model = MODEL_BUILDERS[name]()
         x = np.random.default_rng(0).random((2,) + model.input_shape, dtype=np.float32)
         y = np.arange(2)

@@ -277,8 +277,11 @@ class TestStepFootprint:
     time, and an fc likelihood gradient exists one block of ``GRAD_BLOCK``
     weights at a time.  At S=8, SHIFT: 0.19 MiB (b-mlp: one sample's
     caches and one gradient block) and 0.48 MiB (b-lenet: one sample's conv
-    activations and conv1's weight gradient); STORE adds its count log:
-    7.48 and 1.42 MiB.  All S forward passes before any backward pass,
+    activations and conv1's weight gradient); STORE adds one sample's count
+    log, as each block leaves the log when its backward pass reads it:
+    0.98 and 0.48 MiB (b-lenet peaks in conv1's weight gradient, when only
+    conv1's counts are logged).  A log of the whole step's counts read 7.48
+    and 1.42 MiB.  All S forward passes before any backward pass,
     which keeps S samples' caches alive, read 0.41 and 1.05 MiB (SHIFT)
     and 7.70 and 2.00 MiB (STORE).  A new count array per SHIFT block and
     a whole unpack read 0.90 MiB (b-mlp).  A whole fc1 likelihood gradient
@@ -311,11 +314,20 @@ class TestStepFootprint:
         model.init_params(cfg)
         assert Trainer(model, cfg).scratch_bytes == nbytes
 
-    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 1.5), ("b-mlp", 7.55)],
+    @pytest.mark.parametrize("name,bound_mib", [("b-lenet", 0.55), ("b-mlp", 1.05)],
                              ids=["b-lenet", "b-mlp"])
     def test_store_step_peak(self, name, bound_mib):
         peak = self.step_peak(name, "store")
         assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("name", ["b-lenet", "b-mlp"])
+    def test_store_step_peak_does_not_grow_with_samples(self, name):
+        # a block leaves the log when its backward pass reads it: S=8 peaks
+        # within 16 KiB of S=1 (it read 2.5 KiB above on b-mlp, 9.1 KiB on
+        # b-lenet), where the whole step's log added 6.38 MiB (b-mlp) and
+        # 0.84 MiB (b-lenet)
+        one, eight = self.step_peak(name, "store", S=1), self.step_peak(name, "store")
+        assert eight - one <= 16 * 2 ** 10, (one, eight)
 
     @staticmethod
     def step_peak(name, strategy, S=8) -> int:
@@ -340,25 +352,36 @@ class TestStreams:
     def test_streams_end_each_step_at_their_post_forward_register(self):
         # every step draws the next stretch of each stream, so no two steps
         # share their noise
+        class DrawRecorder(Trainer):
+            """Keeps copies of the counts each step drew, by (sample, layer id)."""
+
+            def _counts(self, sample_id, layer_id, layer, backward):
+                counts = super()._counts(sample_id, layer_id, layer, backward)
+                if not backward:
+                    self.drawn[(sample_id, layer_id)] = counts.copy()
+                return counts
+
         x, y = synthetic_batch()
         for strategy in ("store", "shift"):
             cfg = TrainConfig(S=3, master_seed=2, epsilon_strategy=strategy)
             model = build_toyconv()
             model.init_params(cfg)
-            trainer = Trainer(model, cfg)
+            trainer = DrawRecorder(model, cfg)
             per_step = sum(l.weight_count for _, l in model.bayes_layers())
             oracles = [grng_init(2, i, TapSet.default(256)) for i in range(cfg.S)]
             logs = []
             for _ in range(3):
+                trainer.drawn = {}
                 trainer.train_step(x[:4], y[:4])
-                logs.append(trainer.step_log)
+                logs.append(trainer.drawn)
                 for oracle in oracles:
                     oracle.generate_block(per_step)
                 assert [s.lfsr for s in trainer.streams] == [o.lfsr for o in oracles], strategy
-            if strategy == "store":
-                for before, after in zip(logs, logs[1:]):
-                    for key in before:
-                        assert not np.array_equal(before[key], after[key]), key
+            keys = [(i, lid) for i in range(cfg.S) for lid, _ in model.bayes_layers()]
+            for before, after in zip(logs, logs[1:]):
+                assert sorted(before) == sorted(after) == keys, strategy
+                for key in keys:
+                    assert not np.array_equal(before[key], after[key]), (strategy, key)
 
     def test_shift_step_that_misses_its_start_register_raises(self):
         class Overshoot(Trainer):
@@ -421,12 +444,37 @@ class TestStreams:
             trainer.train_step(x[:4], y[:4])
             keys = [(i, lid) for i in range(2) for lid, _ in model.bayes_layers()]
             assert sorted(trainer.retrieved) == keys
-            assert sorted(trainer.step_log) == (keys if strategy == "store" else [])
+            # STORE's backward passes took every block they read out of the log
+            assert trainer.step_log == {}, strategy
             for i, lid in keys:
                 assert trainer.retrieved[(i, lid)].size == model.layers[lid].weight_count
                 assert np.array_equal(drawn[(i, lid)], trainer.retrieved[(i, lid)]), strategy
-                if strategy == "store":
-                    assert np.array_equal(trainer.step_log[(i, lid)], drawn[(i, lid)])
+
+    def test_store_log_holds_one_samples_unread_blocks(self):
+        class LogWatcher(Trainer):
+            """Notes the log's keys after each forward and backward pass."""
+
+            def forward_pass(self, x, y, sample_id, sigma_terms):
+                out = super().forward_pass(x, y, sample_id, sigma_terms)
+                self.seen.append(("forward", sample_id, sorted(self.step_log)))
+                return out
+
+            def backward_pass(self, cache, sample_id):
+                super().backward_pass(cache, sample_id)
+                self.seen.append(("backward", sample_id, sorted(self.step_log)))
+
+        x, y = synthetic_batch()
+        cfg = TrainConfig(S=3, master_seed=2, epsilon_strategy="store")
+        model = build_toyconv()
+        model.init_params(cfg)
+        trainer = LogWatcher(model, cfg)
+        lids = [lid for lid, _ in model.bayes_layers()]
+        for step in range(2):
+            trainer.seen = []
+            trainer.train_step(x[:4], y[:4])
+            assert trainer.seen == [entry for i in range(cfg.S) for entry in (
+                ("forward", i, [(i, lid) for lid in lids]), ("backward", i, []))], step
+            assert trainer.step_log == {}
 
 
 class TestWorkBuffers:
@@ -435,6 +483,20 @@ class TestWorkBuffers:
 
     @pytest.mark.parametrize("strategy", ["store", "shift"])
     def test_counts_of_an_earlier_step_survive(self, strategy):
+        class HandedOut(_RetrievalRecorder):
+            """Also keeps a reference, not a copy, to each count array its
+            latest step drew."""
+
+            def train_step(self, x, y):
+                self.handed = {}
+                return super().train_step(x, y)
+
+            def _counts(self, sample_id, layer_id, layer, backward):
+                counts = super()._counts(sample_id, layer_id, layer, backward)
+                if not backward:
+                    self.handed[(sample_id, layer_id)] = counts
+                return counts
+
         x, y = synthetic_batch()
         cfg = TrainConfig(S=2, master_seed=8, epsilon_strategy=strategy)
         model = build_toyconv()
@@ -446,14 +508,15 @@ class TestWorkBuffers:
             oracle = grng_init(8, i, TapSet.default(256))
             for lid, layer in model.bayes_layers():
                 expect[(i, lid)] = oracle.generate_block(layer.weight_count).copy()
-        trainer = _RetrievalRecorder(model, cfg)
+        trainer = HandedOut(model, cfg)
         trainer.train_step(x[:4], y[:4])
-        step_log, retrieved = trainer.step_log, trainer.retrieved
+        handed, retrieved = trainer.handed, trainer.retrieved
         trainer.train_step(x[4:8], y[4:8])
         for key, counts in expect.items():
             assert np.array_equal(retrieved[key], counts), key
+            # STORE's arrays are new ones; SHIFT's are views of the w buffer
             if strategy == "store":
-                assert np.array_equal(step_log[key], counts), key
+                assert np.array_equal(handed[key], counts), key
 
     def test_one_set_sized_at_construction(self):
         x, y = synthetic_batch()
