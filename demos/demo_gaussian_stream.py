@@ -12,18 +12,16 @@ from shiftbnn import TapSet, counts_to_eps, grng_init
 
 stream = grng_init(master_seed=0, stream_id=0, taps=TapSet.default(256))
 
-# single draws are raw 1s counts; counts_to_eps standardizes them
-draws = [stream.generate_forward() for _ in range(8)]
+# a block of draws is raw 1s counts; counts_to_eps standardizes them
+draws = stream.generate_block(8)
 print("forward draws: ", [f"{e:+.3f}" for e in counts_to_eps(draws, 256)])
 
-retrieved = [stream.retrieve_backward() for _ in range(8)]
+retrieved = stream.retrieve_block(8)
 print("retrieved:     ", [f"{e:+.3f}" for e in counts_to_eps(retrieved, 256)])
-assert retrieved == draws[::-1]
+assert np.array_equal(retrieved, draws[::-1]) and stream.position == 0
 print("retrieval is the exact reverse of generation, no storage involved")
 
-# moments over a large block (the block engine is bit-identical to
-# repeated single draws, just vectorized)
-stream = grng_init(0, 0, TapSet.default(256))
+# moments over a large block
 eps = counts_to_eps(stream.generate_block(1_000_000), 256)
 print(f"1e6 draws: mean {eps.mean():+.4f}, variance {eps.var():.4f}")
 print(f"value range [{eps.min():+.3f}, {eps.max():+.3f}], step 0.125")

@@ -315,7 +315,8 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     build = _lookup(train.MODEL_BUILDERS, settings["model"], "model")
     store = _trainer(settings, build(), "store", cls=_RetrievalRecorder)
     x, y = _load_split(settings, "train", store.model)
-    taps = lfsr.TapSet(256, (1, 2, 3, 256)) if corrupt_second_pass else None
+    n = train.NOISE_TAPS.width
+    taps = lfsr.TapSet(n, (1, 2, 3, n)) if corrupt_second_pass else None
     shift = _trainer(settings, build(), "shift", cls=_RetrievalRecorder, taps=taps)
     batch = settings["batch"] or 8
     draws = steps * settings["samples"] * sum(
@@ -390,8 +391,8 @@ def run_cost_report(settings: dict) -> int:
 def selftest_moments(seed: int) -> tuple[float, float, bool]:
     """Mean and variance of the first 200,000 draws of ``seed``'s stream, and
     whether rng-selftest accepts them."""
-    stream = grng.grng_init(seed, 0, lfsr.TapSet.default(256))
-    eps = grng.counts_to_eps(stream.generate_block(200_000), 256)
+    stream = grng.grng_init(seed, 0, train.NOISE_TAPS)
+    eps = grng.counts_to_eps(stream.generate_block(200_000), stream.n)
     mean, var = float(eps.mean()), float(eps.var())
     return mean, var, abs(mean) < 0.05 and 0.9 < var < 1.1
 
@@ -411,22 +412,8 @@ def run_rng_selftest(settings: dict) -> int:
     print(f"reversibility width 8: {'ok' if bad == 0 else f'{bad} FAILURES'}")
     failures += bad
 
-    # incremental running sum against the popcount oracle
-    stream = grng.grng_init(settings["seed"], 0, lfsr.TapSet.default(256))
-    rng = np.random.default_rng(settings["seed"])
-    bad = 0
-    for _ in range(20_000):
-        if stream.position == 0 or rng.random() < 0.5:
-            stream.generate_forward()
-        else:
-            stream.retrieve_backward()
-        if stream.running_sum != lfsr.popcount_state(stream.lfsr):
-            bad += 1
-    print(f"incremental sum vs popcount: {'ok' if bad == 0 else f'{bad} FAILURES'}")
-    failures += bad
-
     # block round trips at the b-mlp fc1 and b-lenet conv1 segment sizes
-    stream = grng.grng_init(settings["seed"], 0, lfsr.TapSet.default(256))
+    stream = grng.grng_init(settings["seed"], 0, train.NOISE_TAPS)
     start = stream.lfsr
     trip_ok = True
     for k in (313_600, 450):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 
@@ -45,12 +46,24 @@ def _open_binary(path):
 _READ_CHUNK = 1 << 20
 
 
+def _read(f, size: int, what: str) -> bytes:
+    """``f.read(size)``, with a damaged gzip stream named: one cut short is
+    a TruncatedFile, one whose deflate data is corrupt a gzip.BadGzipFile
+    (an OSError)."""
+    try:
+        return f.read(size)
+    except EOFError as exc:
+        raise TruncatedFile(f"{what}: {exc}") from exc
+    except zlib.error as exc:
+        raise gzip.BadGzipFile(f"{what}: {exc}") from exc
+
+
 def read_exact(f, nbytes: int, what: str) -> bytes:
     """``nbytes`` bytes of ``f``, or TruncatedFile when the file ends first."""
     chunks = []
     left = nbytes
     while left:
-        chunk = f.read(min(left, _READ_CHUNK))
+        chunk = _read(f, min(left, _READ_CHUNK), what)
         if not chunk:
             raise TruncatedFile(f"{what}: wanted {nbytes} bytes, got {nbytes - left}")
         chunks.append(chunk)
@@ -61,7 +74,7 @@ def read_exact(f, nbytes: int, what: str) -> bytes:
 def expect_end(f, what: str) -> None:
     """CountMismatch unless ``f`` is at its end: a header counts every byte
     of its file."""
-    if f.read(1):
+    if _read(f, 1, what):
         raise CountMismatch(f"{what} has bytes after what its header counts")
 
 

@@ -6,14 +6,14 @@ Gaussian surrogate.  Because the register supports exact reverse
 shifting, every variable drawn forward can later be retrieved backward
 in reverse order instead of being stored.
 
-The count is tracked incrementally: a forward shift changes the popcount
-by head_in - tail_out, a reverse shift by tail_in - head_out, so only a
-block re-counts the register: its new one, once, in ``reset_to``.  A
-block, either way (``GrngStream._block``), counts its windows by doubling:
-the sums over every 2-, 4-, ..., 128-bit window of its bits, each level
-one uint8 add of the level below, and each count adds the levels of n's
-binary form (``popcount_state`` stays the independent oracle in the
-tests).
+A stream moves only by blocks, as the hardware's layer-wide shifts do:
+``generate_block`` draws k counts forward and ``retrieve_block`` takes
+the k before the register back.  A block, either way
+(``GrngStream._block``), counts its windows by doubling: the sums over
+every 2-, 4-, ..., 128-bit window of its bits, each level one uint8 add
+of the level below, and each count adds the levels of n's binary form
+(the popcount of a register stepped by single shifts stays the
+independent oracle in the tests).
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .lfsr import (
     extend_backward,
     extend_forward,
     new_lfsr,
-    popcount_state,
-    shift_forward,
-    shift_reverse,
     state_to_window,
     window_to_state,
 )
@@ -105,7 +102,7 @@ class BlockScratch:
     sums double in the 2(n + k) bytes after them.  A retrieval first fills
     that region with ``extend_backward``'s look-ahead window, which is dead
     once the bits are reconstructed, so both directions touch the same
-    memory.  Streams that draw one at a time can share one scratch.  The
+    memory.  Streams that draw in turn can share one scratch.  The
     buffer grows to the largest request and is never handed out: the counts
     go to the caller's ``out`` array, or to a new one.
     """
@@ -165,25 +162,7 @@ class GrngStream:
     def __init__(self, lfsr: LfsrState, scratch: BlockScratch | None = None):
         self.lfsr = lfsr
         self.n = lfsr.taps.width
-        self.running_sum = popcount_state(lfsr)
         self.scratch = scratch if scratch is not None else BlockScratch()
-
-    # -- single-draw API ----------------------------------------------------
-
-    def generate_forward(self) -> int:
-        self.lfsr, head_in, tail_out = shift_forward(self.lfsr)
-        self.running_sum += head_in - tail_out
-        return self.running_sum
-
-    def retrieve_backward(self) -> int:
-        if self.lfsr.position <= 0:
-            raise UnderflowBeforeSeed(
-                f"retrieve at position {self.lfsr.position}: nothing left to retrieve"
-            )
-        count = self.running_sum
-        self.lfsr, tail_in, head_out = shift_reverse(self.lfsr)
-        self.running_sum += tail_in - head_out
-        return count
 
     @property
     def position(self) -> int:
@@ -192,9 +171,6 @@ class GrngStream:
     def reset_to(self, state: LfsrState) -> None:
         """Restore a previously captured register state (bookkeeping hook)."""
         self.lfsr = state
-        self.running_sum = popcount_state(state)
-
-    # -- block API (bit-identical to repeated single draws) ------------------
 
     def generate_block(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """k forward draws at once; returns the raw uint16 counts, written

@@ -144,7 +144,7 @@ def shift_reverse(state: LfsrState) -> tuple[LfsrState, int, int]:
 
 
 def popcount_state(state: LfsrState) -> int:
-    """Number of 1-bits in the register; oracle for the GRNG running sum."""
+    """Number of 1-bits in the register; the tests' oracle for a GRNG block's counts."""
     return state.bits.bit_count()
 
 

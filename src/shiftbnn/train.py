@@ -79,6 +79,8 @@ from .data import expect_end, read_exact
 from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
 from .lfsr import TapSet
 
+#: register width and taps of every stream the trainer draws from
+NOISE_TAPS = TapSet.default(256)
 #: stddev of the zero-mean Gaussian prior on every weight
 SIGMA_PRIOR = 0.5
 #: floor of sigma after each update: SGD on sigma itself can cross zero
@@ -377,7 +379,7 @@ class Trainer:
         self.model = model
         self.cfg = cfg
         self.step_log: dict[tuple[int, int], np.ndarray] = {}
-        self.taps = taps or TapSet.default(256)
+        self.taps = taps or NOISE_TAPS
         self.n = self.taps.width
         # one set of work buffers for every stream and layer, sized by the
         # largest layer: the streams draw one at a time

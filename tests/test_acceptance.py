@@ -33,6 +33,7 @@ from shiftbnn.lfsr import (
     state_to_window,
 )
 from shiftbnn.train import (
+    NOISE_TAPS,
     SIGMA_PRIOR,
     BayesFC,
     Model,
@@ -85,19 +86,29 @@ def test_01_lfsr_reversibility():
     assert time.time() - started < 10.0
 
 
-def test_02_incremental_sum_exact():
-    """running_sum equals the popcount oracle across 10^6 mixed steps."""
-    stream = grng_init(0, 0, TapSet.default(256))
+def test_02_block_counts_match_popcount():
+    """Every count of a block equals the popcount of the register stepped
+    by single shifts, across 10^6 mixed moves in blocks of 1-64 draws."""
+    stream = grng_init(0, 0, NOISE_TAPS)
+    oracle = stream.lfsr
     rng = np.random.default_rng(1)
-    moves = rng.random(1_000_000)
-    violations = 0
-    for p in moves:
-        if stream.position == 0 or p < 0.55:
-            stream.generate_forward()
+    moves = violations = 0
+    while moves < 1_000_000:
+        k = min(int(rng.integers(1, 65)), 1_000_000 - moves)
+        expect = []
+        if stream.position == 0 or rng.random() < 0.55:
+            counts = stream.generate_block(k)
+            for _ in range(k):
+                oracle, _, _ = shift_forward(oracle)
+                expect.append(popcount_state(oracle))
         else:
-            stream.retrieve_backward()
-        if stream.running_sum != popcount_state(stream.lfsr):
-            violations += 1
+            k = min(k, stream.position)
+            counts = stream.retrieve_block(k)
+            for _ in range(k):
+                expect.append(popcount_state(oracle))
+                oracle, _, _ = shift_reverse(oracle)
+        violations += int(np.count_nonzero(counts != expect)) + (stream.lfsr != oracle)
+        moves += k
     assert violations == 0
 
 
@@ -171,7 +182,7 @@ def test_05_kernel_flip_retrieval():
     rng = np.random.default_rng(5)
     cases = [(3, 4, 3, 8, 1, 0), (5, 2, 2, 9, 1, 2), (3, 3, 2, 7, 2, 1)]
     for case, (k, m, n, hw, stride, pad) in enumerate(cases):
-        stream = grng_init(5, case, TapSet.default(256))
+        stream = grng_init(5, case, NOISE_TAPS)
         drawn = stream.generate_block(m * n * k * k).reshape(m, n, k, k)
         arrivals = stream.retrieve_block(m * n * k * k)
         assert stream.position == 0
@@ -180,7 +191,7 @@ def test_05_kernel_flip_retrieval():
         rotated = arrivals.reshape(m, n, k, k)[::-1, ::-1]
         assert np.array_equal(rotated, drawn[:, :, ::-1, ::-1])
 
-        w = counts_to_eps(drawn, 256)
+        w = counts_to_eps(drawn, stream.n)
         e = rng.standard_normal(nn.conv_forward(rng.standard_normal((n, hw, hw)),
                                                 w, stride, pad).shape)
         # zero-dilate the errors by the stride, pad by K - 1 and correlate
@@ -188,7 +199,7 @@ def test_05_kernel_flip_retrieval():
         r, c = e.shape[-2:]
         dilated = np.zeros((m, (r - 1) * stride + 1, (c - 1) * stride + 1))
         dilated[:, ::stride, ::stride] = e
-        full = nn.conv_forward(dilated, counts_to_eps(rotated, 256).transpose(1, 0, 2, 3),
+        full = nn.conv_forward(dilated, counts_to_eps(rotated, stream.n).transpose(1, 0, 2, 3),
                                1, k - 1)
         expected = full[:, pad:pad + hw, pad:pad + hw]
         direct = nn.conv_backward_data(e, w, (hw, hw), stride, pad)
@@ -214,10 +225,10 @@ def test_06_gradient_finite_differences():
 
     eps = {}
     for s in range(cfg.S):
-        stream = grng_init(13, s, TapSet.default(256))
+        stream = grng_init(13, s, NOISE_TAPS)
         for lid, layer in model.bayes_layers():
             counts = stream.generate_block(layer.weight_count)
-            eps[(s, lid)] = counts_to_eps(counts, 256).reshape(layer.mu.shape)
+            eps[(s, lid)] = counts_to_eps(counts, stream.n).reshape(layer.mu.shape)
 
     def total_loss(mu, sigma):
         total = 0.0

@@ -1,5 +1,6 @@
 """End-to-end command behavior: config precedence, commands, exit codes."""
 
+import gzip
 import os
 import struct
 import subprocess
@@ -274,6 +275,30 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: image data: wanted {big ** 3} bytes, got 16\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage,message", [
+        pytest.param("cut", "image data: Compressed file ended before the end-of-stream "
+                     "marker was reached", id="cut"),
+        pytest.param("deflate", "image header: Error -3 while decompressing data: "
+                     "invalid block type", id="deflate")])
+    def test_damaged_gzip_idx_exits_2(self, tmp_path, capsys, damage, message):
+        root = idx_dir(tmp_path, 8, 8)
+        plain = root / cli._IDX_NAMES["train"][0]
+        raw = bytearray(gzip.compress(plain.read_bytes()))
+        if damage == "cut":
+            raw = raw[:len(raw) // 2]
+        else:
+            raw[10] = 0xFF  # the first deflate byte: an invalid block type
+        plain.unlink()
+        plain.with_name(plain.name + ".gz").write_bytes(raw)
+        out = tmp_path / "m.sbnn"
+        code = run(["train", "--model", "b-mlp", "--dataset", str(root),
+                    "--samples", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])

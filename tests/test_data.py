@@ -101,6 +101,28 @@ class TestIdx:
         with pytest.raises(TruncatedFile, match=f"image data: wanted {big ** 3} bytes, got 16"):
             read_idx_images(path)
 
+    @pytest.mark.parametrize("which", ["image", "label"])
+    @pytest.mark.parametrize("cut,where", [("half", "data"), ("trailer", "file")])
+    def test_gzip_cut_short_is_truncated(self, idx_pair, tmp_path, which, cut, where):
+        # half the stream ends inside the data; without its 8-byte trailer,
+        # the data reads whole and the check for its end hits the cut
+        raw = gzip.compress(idx_pair[0 if which == "image" else 1].read_bytes())
+        path = tmp_path / "cut.idx.gz"
+        path.write_bytes(raw[:len(raw) // 2] if cut == "half" else raw[:-8])
+        read = read_idx_images if which == "image" else read_idx_labels
+        with pytest.raises(TruncatedFile, match=f"{which} {where}: Compressed file ended"):
+            read(path)
+
+    @pytest.mark.parametrize("which", ["image", "label"])
+    def test_corrupt_deflate_data_is_bad_gzip(self, idx_pair, tmp_path, which):
+        raw = bytearray(gzip.compress(idx_pair[0 if which == "image" else 1].read_bytes()))
+        raw[10] = 0xFF  # the first deflate byte: an invalid block type
+        path = tmp_path / "bad.idx.gz"
+        path.write_bytes(raw)
+        read = read_idx_images if which == "image" else read_idx_labels
+        with pytest.raises(gzip.BadGzipFile, match=f"{which} header: .*invalid block type"):
+            read(path)
+
     def test_reads_in_bounded_chunks(self):
         asked = []
 

@@ -1,4 +1,5 @@
-"""Gaussian stream behavior: incremental sums, retrieval, block engine."""
+"""Gaussian stream behavior: block counts against a popcount of the register
+stepped by single shifts, retrieval, the block engine."""
 
 import struct
 import tracemalloc
@@ -21,7 +22,14 @@ from shiftbnn.grng import (
     read_epsilon_log,
     write_epsilon_log,
 )
-from shiftbnn.lfsr import DEFAULT_TAPS, TapSet, new_lfsr, popcount_state
+from shiftbnn.lfsr import (
+    DEFAULT_TAPS,
+    TapSet,
+    new_lfsr,
+    popcount_state,
+    shift_forward,
+    shift_reverse,
+)
 
 
 @pytest.fixture
@@ -78,35 +86,6 @@ class TestStandardization:
         assert eps.tobytes() == expect.tobytes()
 
 
-class TestIncrementalSum:
-    def test_forward_updates_match_popcount(self, stream):
-        for _ in range(500):
-            count = stream.generate_forward()
-            assert stream.running_sum == popcount_state(stream.lfsr)
-            assert count == stream.running_sum
-
-    def test_mixed_walk_matches_popcount(self, stream):
-        rng = np.random.default_rng(42)
-        for _ in range(5000):
-            if stream.position == 0 or rng.random() < 0.6:
-                stream.generate_forward()
-            else:
-                stream.retrieve_backward()
-            assert stream.running_sum == popcount_state(stream.lfsr)
-
-    def test_retrieval_returns_last_generated(self, stream):
-        forward = [stream.generate_forward() for _ in range(100)]
-        backward = [stream.retrieve_backward() for _ in range(100)]
-        assert backward == forward[::-1]
-        assert stream.position == 0
-
-    def test_underflow_guard(self, stream):
-        stream.generate_forward()
-        stream.retrieve_backward()
-        with pytest.raises(UnderflowBeforeSeed):
-            stream.retrieve_backward()
-
-
 class TestWindowCounts:
     """Counting by doubling against a direct sum over every window."""
 
@@ -129,24 +108,27 @@ class TestWindowCounts:
 
 class TestBlockEngine:
     def test_generate_block_matches_scalar(self):
+        """Draw i is the popcount of the register after i + 1 single
+        forward shifts."""
         a = grng_init(3, 1, TapSet.default(256))
-        b = grng_init(3, 1, TapSet.default(256))
-        block = a.generate_block(777)
-        scalar = np.array([b.generate_forward() for _ in range(777)])
-        assert np.array_equal(block, scalar)
-        assert a.lfsr == b.lfsr
-        assert a.running_sum == b.running_sum
+        state, scalar = a.lfsr, []
+        for _ in range(777):
+            state, _, _ = shift_forward(state)
+            scalar.append(popcount_state(state))
+        assert np.array_equal(a.generate_block(777), scalar)
+        assert a.lfsr == state
 
     def test_retrieve_block_matches_scalar(self):
+        """Retrieval i is the popcount of the register before the (i + 1)th
+        single reverse shift: the draws come back last first."""
         a = grng_init(3, 2, TapSet.default(256))
-        b = grng_init(3, 2, TapSet.default(256))
         a.generate_block(500)
+        state, scalar = a.lfsr, []
         for _ in range(500):
-            b.generate_forward()
-        block = a.retrieve_block(500)
-        scalar = np.array([b.retrieve_backward() for _ in range(500)])
-        assert np.array_equal(block, scalar)
-        assert a.lfsr == b.lfsr
+            scalar.append(popcount_state(state))
+            state, _, _ = shift_reverse(state)
+        assert np.array_equal(a.retrieve_block(500), scalar)
+        assert a.lfsr == state and a.position == 0
 
     @pytest.mark.parametrize("k", [313_600, 450])  # b-mlp fc1, b-lenet conv1
     def test_round_trip_restores_start(self, k):
@@ -156,25 +138,24 @@ class TestBlockEngine:
         back = a.retrieve_block(k)
         assert np.array_equal(back, drawn[::-1])
         assert a.lfsr == start
-        assert a.running_sum == popcount_state(start)
 
     def test_negative_block_size_rejected(self):
         a = grng_init(0, 0, TapSet.default(256))
         a.generate_block(10)
-        before = (a.lfsr, a.running_sum)
+        before = a.lfsr
         for block in (a.generate_block, a.retrieve_block):
             with pytest.raises(ValueError, match="k must be >= 0"):
                 block(-3)
-        assert (a.lfsr, a.running_sum) == before
+        assert a.lfsr == before
 
     def test_empty_blocks_change_nothing(self):
         a = grng_init(0, 0, TapSet.default(256))
         a.generate_block(10)
-        before = (a.lfsr, a.running_sum)
+        before = a.lfsr
         for block in (a.generate_block, a.retrieve_block):
             counts = block(0)
             assert counts.dtype == np.uint16 and counts.size == 0
-            assert (a.lfsr, a.running_sum) == before
+            assert a.lfsr == before
 
     def test_stream_keeps_one_scratch(self):
         a = grng_init(0, 0, TapSet.default(256))
@@ -226,7 +207,7 @@ class TestBlockEngine:
             got = getattr(a, name)(k, out=out)
             assert np.shares_memory(got, out), name
             assert np.array_equal(got, getattr(b, name)(k)), name
-            assert (a.lfsr, a.running_sum) == (b.lfsr, b.running_sum), name
+            assert a.lfsr == b.lfsr, name
 
     @pytest.mark.parametrize("out", [np.zeros(10, np.int16), np.zeros(10, np.float32),
                                      np.zeros(9, np.uint16), np.zeros(11, np.uint16),
@@ -234,17 +215,30 @@ class TestBlockEngine:
     def test_bad_out_rejected_before_the_stream_moves(self, out):
         a = grng_init(0, 0, TapSet.default(256))
         a.generate_block(20)
-        before = (a.position, a.lfsr, a.running_sum)
+        before = a.lfsr
         for block in (a.generate_block, a.retrieve_block):
             with pytest.raises(ValueError, match="out must be uint16 of shape"):
                 block(10, out=out)
-            assert (a.position, a.lfsr, a.running_sum) == before
+            assert a.lfsr == before
 
     def test_block_underflow(self):
         a = grng_init(0, 0, TapSet.default(256))
         a.generate_block(5)
         with pytest.raises(UnderflowBeforeSeed):
             a.retrieve_block(6)
+
+    @pytest.mark.parametrize("k", [1, 450])
+    def test_retrieval_stops_at_the_seed(self, stream, k):
+        """All k draws come back, ending at position 0; one more raises
+        and leaves the register as it was."""
+        seed = stream.lfsr
+        stream.generate_block(k)
+        stream.retrieve_block(k)
+        assert stream.position == 0 and stream.lfsr == seed
+        at_seed = stream.lfsr
+        with pytest.raises(UnderflowBeforeSeed):
+            stream.retrieve_block(1)
+        assert stream.lfsr is at_seed
 
     @given(splits=st.lists(st.integers(min_value=1, max_value=200),
                            min_size=1, max_size=6))

@@ -13,11 +13,14 @@ import pytest
 from shiftbnn import data, nn, train
 from shiftbnn.cli import _RetrievalRecorder
 from shiftbnn.grng import counts_to_eps, grng_init
-from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
     MODEL_BUILDERS,
+    NOISE_TAPS,
+    BayesConv,
     BayesFC,
+    MaxPool,
     Model,
+    ReLU,
     TrainConfig,
     Trainer,
     apply_checkpoint,
@@ -116,9 +119,10 @@ class TestPerWeightMath:
         assert train.square_sum(eps, buf) == 5_138_022_400 / 64
 
     def test_eps_square_sum_matches_float_reference(self):
-        counts = grng_init(3, 0, TapSet.default(256)).generate_block(313_600)
-        eps = counts_to_eps(counts, 256, out=np.empty(counts.size, np.float32))
-        ref = float(np.sum(counts_to_eps(counts, 256) ** 2))
+        n = NOISE_TAPS.width
+        counts = grng_init(3, 0, NOISE_TAPS).generate_block(313_600)
+        eps = counts_to_eps(counts, n, out=np.empty(counts.size, np.float32))
+        ref = float(np.sum(counts_to_eps(counts, n) ** 2))
         buf = np.empty(train.SQUARE_CHUNK, np.float64)
         assert train.square_sum(eps, buf) == pytest.approx(ref, rel=1e-12)
 
@@ -198,11 +202,11 @@ class TestForwardPass:
             x = x.reshape(4, 100)
         for s, (_, loss) in enumerate(forward_passes(Trainer(model, cfg), x, y)):
             # the per-element float64 formulas, on independently drawn noise
-            stream = grng_init(8, s, TapSet.default(256))
+            stream = grng_init(8, s, NOISE_TAPS)
             post = prior = 0.0
             for _, layer in model.bayes_layers():
                 counts = stream.generate_block(layer.weight_count)
-                eps = counts_to_eps(counts, 256).astype(dtype).reshape(layer.mu.shape)
+                eps = counts_to_eps(counts, stream.n).astype(dtype).reshape(layer.mu.shape)
                 w = (layer.mu + eps * layer.sigma).astype(np.float64)
                 sig = layer.sigma.astype(np.float64)
                 post += float(np.sum(-np.log(sig * np.sqrt(2 * np.pi))
@@ -368,7 +372,7 @@ class TestStreams:
             model.init_params(cfg)
             trainer = DrawRecorder(model, cfg)
             per_step = sum(l.weight_count for _, l in model.bayes_layers())
-            oracles = [grng_init(2, i, TapSet.default(256)) for i in range(cfg.S)]
+            oracles = [grng_init(2, i, NOISE_TAPS) for i in range(cfg.S)]
             logs = []
             for _ in range(3):
                 trainer.drawn = {}
@@ -437,7 +441,7 @@ class TestStreams:
             # each sample's stream draws its layers' counts in forward order
             drawn = {}
             for i in range(cfg.S):
-                oracle = grng_init(2, i, TapSet.default(256))
+                oracle = grng_init(2, i, NOISE_TAPS)
                 for lid, layer in model.bayes_layers():
                     drawn[(i, lid)] = oracle.generate_block(layer.weight_count)
             trainer = _RetrievalRecorder(model, cfg)
@@ -505,7 +509,7 @@ class TestWorkBuffers:
         # can reach the expected counts
         expect = {}
         for i in range(cfg.S):
-            oracle = grng_init(8, i, TapSet.default(256))
+            oracle = grng_init(8, i, NOISE_TAPS)
             for lid, layer in model.bayes_layers():
                 expect[(i, lid)] = oracle.generate_block(layer.weight_count).copy()
         trainer = HandedOut(model, cfg)
@@ -593,8 +597,8 @@ class TestTrainStep:
         mu0 = model.layers[0].mu.copy()
         sig0 = model.layers[0].sigma.copy()
         # independent replica of the noise the trainer will draw
-        oracle = grng_init(4, 0, TapSet.default(256))
-        eps = counts_to_eps(oracle.generate_block(2), 256).reshape(2, 1)
+        oracle = grng_init(4, 0, NOISE_TAPS)
+        eps = counts_to_eps(oracle.generate_block(2), oracle.n).reshape(2, 1)
 
         x = np.array([[1.0]])
         y = np.array([0])
@@ -803,6 +807,38 @@ class TestStrategyEquivalence:
             assert np.array_equal(mu_a, mu_b)
             assert np.array_equal(sig_a, sig_b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_store_equals_shift_with_conv_stride_and_padding(self, tmp_path, S, seed):
+        """No built-in network strides or pads a conv: a 3x3 stride-2 pad-1
+        conv on 9x9 inputs, a 3x3 pad-1 conv, a 2x2 conv, a pool and an fc
+        layer write the same checkpoint bytes under both strategies after
+        3 steps."""
+        rng = np.random.default_rng(seed)
+        x = rng.random((12, 1, 9, 9)).astype(np.float32)
+        y = rng.integers(0, 10, 12)
+        saved = {}
+        for strategy in ("store", "shift"):
+            model = Model([
+                BayesConv(1, 3, 3, stride=2, pad=1), ReLU(),  # 9 -> 5
+                BayesConv(3, 4, 3, pad=1), ReLU(),            # 5 -> 5
+                BayesConv(4, 4, 2),                           # 5 -> 4
+                MaxPool(2), ReLU(),                           # 4 -> 2
+                BayesFC(4 * 2 * 2, 10),
+            ], name="strided", input_shape=(1, 9, 9))
+            cfg = TrainConfig(S=S, lr=0.01, master_seed=seed, epsilon_strategy=strategy)
+            model.init_params(cfg)
+            path = tmp_path / f"{strategy}.sbnn"
+            save_checkpoint(path, model)
+            start = path.read_bytes()
+            trainer = Trainer(model, cfg)
+            for step in range(3):
+                trainer.train_step(x[4 * step:4 * step + 4], y[4 * step:4 * step + 4])
+            save_checkpoint(path, model)
+            saved[strategy] = path.read_bytes()
+            assert saved[strategy] != start, strategy
+        assert saved["store"] == saved["shift"]
+
 
 class TestTrainingQuality:
     def test_loss_decreases_on_subset(self):
@@ -868,10 +904,10 @@ class TestGradientFiniteDifferences:
         # the noise each sample will use, replicated independently
         eps = {}
         for s in range(cfg.S):
-            stream = grng_init(11, s, TapSet.default(256))
+            stream = grng_init(11, s, NOISE_TAPS)
             for lid, layer in model.bayes_layers():
                 counts = stream.generate_block(layer.weight_count)
-                eps[(s, lid)] = counts_to_eps(counts, 256).reshape(layer.mu.shape)
+                eps[(s, lid)] = counts_to_eps(counts, stream.n).reshape(layer.mu.shape)
 
         from shiftbnn import nn
 
