@@ -48,13 +48,13 @@ _READ_CHUNK = 1 << 20
 
 def _read(f, size: int, what: str) -> bytes:
     """``f.read(size)``, with a damaged gzip stream named: one cut short is
-    a TruncatedFile, one whose deflate data is corrupt a gzip.BadGzipFile
-    (an OSError)."""
+    a TruncatedFile; one whose deflate data is corrupt, or that gzip itself
+    rejects (bad magic, CRC or length), a gzip.BadGzipFile (an OSError)."""
     try:
         return f.read(size)
     except EOFError as exc:
         raise TruncatedFile(f"{what}: {exc}") from exc
-    except zlib.error as exc:
+    except (zlib.error, gzip.BadGzipFile) as exc:
         raise gzip.BadGzipFile(f"{what}: {exc}") from exc
 
 

@@ -41,23 +41,36 @@ class UnderflowBeforeSeed(RuntimeError):
     further than it drew."""
 
 
+def exact_eps(n: int) -> bool:
+    """Whether sqrt(n/4) is a power of two (n = 4, 16, 64, 256, ...): then
+    every eps of an n-bit count is (count - n/2) times a power of two, exact
+    in any float dtype that holds the count."""
+    return math.frexp(math.sqrt(n / 4))[0] == 0.5
+
+
 def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Standardize raw 1s counts: (count - n/2) / sqrt(n/4).
 
     The values are the float64 ones rounded once to out's dtype (a float
     array of the counts' shape; without ``out``, a new float64 array),
-    written there without a float64 temporary: count - n/2 is exact in
-    any float dtype, and the quotient is taken in float64, or in out's
-    dtype when sqrt(n/4) is a power of two (n = 16, 64, 256, ...) and the
-    division is exact there too.
+    written there without a temporary.  When ``exact_eps(n)``, the counts
+    are cast into ``out`` and scaled in place, count * (1/sqrt(n/4)) -
+    (n/2)/sqrt(n/4): each step is exact in out's dtype, so the bits are the
+    quotient's.  The two factors are Python floats, which numpy applies in
+    out's dtype; a numpy float64 one would make the arithmetic float64,
+    through a cast buffer.  Otherwise count - n/2 (exact in any float
+    dtype) is divided in float64 and rounded into ``out``.
     """
     if out is None:
         out = np.empty(np.shape(counts), np.float64)
-    scale = np.sqrt(n / 4.0)
-    np.subtract(counts, n / 2.0, out=out, dtype=out.dtype)
-    exact = math.frexp(scale)[0] == 0.5
-    np.divide(out, scale, out=out, dtype=out.dtype if exact else np.float64,
-              casting="same_kind")
+    scale = math.sqrt(n / 4)
+    if exact_eps(n):
+        np.copyto(out, counts)
+        out *= 1 / scale
+        out -= n / 2 / scale
+        return out
+    np.subtract(counts, n / 2, out=out, dtype=out.dtype)
+    np.divide(out, scale, out=out, dtype=np.float64, casting="same_kind")
     return out
 
 

@@ -125,10 +125,19 @@ def conv_backward_weights(x: np.ndarray, e: np.ndarray, K: int,
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[(B,)in] @ [out,in]^T -> [(B,)out]."""
+    """[(B,)in] @ [out,in]^T -> [(B,)out], C-contiguous.
+
+    Taken as (w @ x^T)^T, with w as gemm's untransposed left operand: its
+    bits equal x @ w.T's at every built-in layer shape for batches 1 to
+    512.  On a 2-vCPU Xeon VM (OpenBLAS 0.3.31, one thread) it ran the
+    784->400 product at batch 8 in 102 us against 207 us, but it is slower
+    on small layers (400->120: 11.7 against 8.4 us) and at batch 512 (fc1:
+    2.39 against 2.07 ms).
+    """
     if x.shape[-1] != w.shape[1]:
         raise ShapeMismatch(f"input size {x.shape[-1]} != weight in-size {w.shape[1]}")
-    return x @ w.T
+    rows = x.reshape(-1, x.shape[-1])
+    return np.ascontiguousarray((w @ rows.T).T).reshape(x.shape[:-1] + w.shape[:1])
 
 
 def fc_backward_data(e: np.ndarray, w: np.ndarray) -> np.ndarray:

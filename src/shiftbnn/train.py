@@ -29,31 +29,32 @@ no parameter.
 Per-weight math: the streams hand out raw 1s counts, and only ``grng``
 turns counts into eps.  In ``Trainer._sample``, for both passes,
 ``counts_to_eps`` standardizes them straight into the working dtype (the
-float64 value rounded once) in the eps buffer, and w = mu + eps * sigma
-is built in the w buffer.  Each ``Trainer`` keeps the two buffers
-across steps, sized by its largest layer and shared by its samples
-and layers; dw' is then built in w's buffer.  The trainer also hands its
-S streams one ``BlockScratch`` (the generator's block buffer, sized the
-same way).  Under SHIFT the streams write each block's counts into a
-uint16 view of the front of the w buffer, which is idle until ``_sample``
-writes w, after ``counts_to_eps`` has read them; STORE's counts are new
-arrays, as they are its log.  So the SHIFT noise path allocates only a
-retrieval's unpacked bits, 64 KiB at a time.  sigma is fixed within a step,
-so the sigma terms of the log densities (-sum log sigma and the
-sqrt(2 pi) constants) are taken once per layer per step.  The three sums
-of the log densities (sum log sigma, sum eps^2 and sum w^2) go through one
-float64 buffer of at most 16 Ki elements, a chunk at a time, so only
-their float64 summation order differs from a float64 copy, within 1e-12
-relative.  sum(eps^2) is taken on the eps buffer, and at n = 256 it
-is exact: eps = (c - 128) / 8 is
-exact in float32, every square is a multiple of 1/64 of at most 256, and
-no partial sum of a layer comes near 2^53 / 64, so it equals the integer
-formula in any order.  The backward pass forms dw' and the (dmu,
-dsigma) updates with in-place operations whose bits equal the plain
-expressions, one block of the likelihood weight gradient at a time: an
-fc layer hands it out about ``GRAD_BLOCK`` (32 Ki) weights at a time,
-a block of whole rows, so no fc gradient exists at full size; a conv
-layer's is one block.
+float64 value rounded once; at the trainer's widths, exact) in the eps
+buffer, with no temporary, and w = mu + eps * sigma is built in the w
+buffer.  Each ``Trainer`` keeps the two buffers across steps, sized by
+its largest layer and shared by its samples and layers; dw' is then
+built in w's buffer.  The trainer also hands its S streams one
+``BlockScratch`` (the generator's block buffer, sized the same way).
+Under SHIFT the streams write each block's counts into a uint16 view of
+the front of the w buffer, which is idle until ``_sample`` writes w,
+after ``counts_to_eps`` has read them; STORE's counts are new arrays, as
+they are its log.  So the SHIFT noise path allocates only a retrieval's
+unpacked bits, 64 KiB at a time.  sigma is fixed within a step, so the
+sigma terms of the log densities (-sum log sigma and the sqrt(2 pi)
+constants) are taken once per layer per step.  sum log sigma and sum w^2
+go through one float64 buffer of at most 16 Ki elements, a chunk at a
+time, so only their float64 summation order differs from a float64 copy,
+within 1e-12 relative.  sum(eps^2) needs no copy (``eps_square_sum``):
+float32 dot products over rows of the eps buffer, each row short enough
+that every partial sum is exact, added up in float64, so it equals the
+integer formula.  That holds at the widths where sqrt(n/4) is a power of
+two (n <= 2^13), the only ones a ``Trainer`` accepts.  The backward pass
+forms dw' and the (dmu, dsigma) updates with in-place operations whose
+bits equal the plain expressions (paper mode's prior gradient and its KL
+weight in one multiply, ``dpu_grad``), one block of the likelihood
+weight gradient at a time: an fc layer hands it out about ``GRAD_BLOCK``
+(32 Ki) weights at a time, a block of whole rows, so no fc gradient
+exists at full size; a conv layer's is one block.
 
 Fresh noise every step: after each sample's backward pass,
 ``train_step`` sets its stream, under both strategies, to the register
@@ -76,7 +77,7 @@ import numpy as np
 
 from . import nn
 from .data import expect_end, read_exact
-from .grng import BlockScratch, GrngStream, counts_to_eps, grng_init
+from .grng import BlockScratch, GrngStream, counts_to_eps, exact_eps, grng_init
 from .lfsr import TapSet
 
 #: register width and taps of every stream the trainer draws from
@@ -136,16 +137,25 @@ class LossBreakdown:
 
 
 def dpu_grad(w, sigma, eps, cfg: TrainConfig, out=None):
-    """d(posterior + prior terms)/dw for one sampled weight.
+    """d(posterior + prior terms)/dw for one sampled weight, times the KL
+    weight ``cfg.kl_scale``.
 
     "paper" mode keeps only the dominant prior part w / SIGMA_PRIOR^2
-    (a 2-bit left shift, SIGMA_PRIOR being 0.5); "exact" mode adds the
-    posterior's through-w derivative -eps / sigma.  ``out`` (which may
-    be ``w``) receives the result; exact mode still makes one temporary.
+    (a 2-bit left shift, SIGMA_PRIOR being 0.5), taken as one multiply
+    w * (4 * kl_scale) in w's dtype: 4 * kl_scale is exact there, so the
+    product rounds once, to the bits of w / SIGMA_PRIOR^2 * kl_scale
+    (unless 4|w| overflows).  "exact" mode adds the posterior's through-w
+    derivative -eps / sigma before it scales by kl_scale.  ``out`` (which
+    may be ``w``) receives the result; exact mode still makes one
+    temporary.
     """
+    if cfg.grad_mode == "paper":
+        dtype = np.result_type(w)
+        return np.multiply(w, dtype.type(1 / SIGMA_PRIOR ** 2) * dtype.type(cfg.kl_scale),
+                           out=out)
     g = np.divide(w, SIGMA_PRIOR ** 2, out=out)
-    if cfg.grad_mode == "exact":
-        g -= eps / sigma
+    g -= eps / sigma
+    g *= cfg.kl_scale
     return g
 
 
@@ -176,17 +186,39 @@ def _float64_chunks(a: np.ndarray, buf: np.ndarray):
 
 def square_sum(a: np.ndarray, buf: np.ndarray) -> float:
     """Sum of squares in float64, one BLAS dot product (``np.dot``) per
-    chunk of the float64 buffer ``buf``.
+    chunk of the float64 buffer ``buf``; the trainer's sum(w^2).
 
     Only the float64 summation order differs from a float64 copy of the
     whole of ``a``: the result agrees to about 1e-16 times the size, and
     equals it exactly when every partial sum is exact, as for the eps of
-    n = 256 (multiples of 1/64 of at most 256).
+    n = 256 (multiples of 1/64 of at most 256), which ``eps_square_sum``
+    sums without the copy.
     """
     total = 0.0
     for chunk in _float64_chunks(a, buf):
         total += float(np.dot(chunk, chunk))
     return total
+
+
+def eps_square_sum(eps: np.ndarray, n: int) -> float:
+    """sum(eps^2) of the eps of n-bit counts, with no float64 copy, exact
+    for every width a ``Trainer`` accepts (``exact_eps(n)``, n <= 2^13).
+
+    Each eps^2 = (c - n/2)^2 * 4/n is a multiple of 4/n, a power of two,
+    and at most n.  So a row of 2^26 / n^2 of them (1,024 at n = 256) sums
+    to at most 2^24 multiples of 4/n, and every partial sum of the row's
+    dot product, taken in eps's dtype, is exact in float32.  The row sums
+    add in float64, far below 2^53 multiples of 4/n.  The result is the
+    integer formula, as ``square_sum``'s is.
+    """
+    flat = eps.reshape(-1)
+    row = (1 << 26) // (n * n)
+    whole = flat.size - flat.size % row
+    rows = flat[:whole].reshape(-1, 1, row)
+    tail = flat[whole:]
+    # one (1, row) @ (row, 1) product per row
+    row_sums = np.matmul(rows, rows.transpose(0, 2, 1))
+    return float(row_sums.sum(dtype=np.float64)) + float(np.dot(tail, tail))
 
 
 def log_sum(a: np.ndarray, buf: np.ndarray) -> float:
@@ -381,6 +413,10 @@ class Trainer:
         self.step_log: dict[tuple[int, int], np.ndarray] = {}
         self.taps = taps or NOISE_TAPS
         self.n = self.taps.width
+        if not exact_eps(self.n) or self.n > 1 << 13:
+            raise ValueError(f"tap width {self.n}: sum(eps^2) is exact only for widths "
+                             "up to 2^13 whose sqrt(n/4) is a power of two "
+                             "(16, 64, 256, ...)")
         # one set of work buffers for every stream and layer, sized by the
         # largest layer: the streams draw one at a time
         largest = max((l.weight_count for _, l in model.bayes_layers()), default=0)
@@ -463,7 +499,7 @@ class Trainer:
                 # eps and w in their buffers; the counts are dropped once read
                 eps, w = self._sample(self._counts(sample_id, lid, layer, backward=False),
                                       layer)
-                p_s += post_const[lid] - 0.5 * square_sum(eps, self._square_buf)
+                p_s += post_const[lid] - 0.5 * eps_square_sum(eps, self.n)
                 p_r += prior_const[lid] + (square_sum(w, self._square_buf)
                                            / (2 * SIGMA_PRIOR ** 2))
                 layer_cache.append(a)
@@ -507,15 +543,14 @@ class Trainer:
                 eps, w = self._sample(self._counts(sample_id, lid, layer, backward=True),
                                       layer)
                 e, dw_blocks = layer.backward(payload, e, w, need_dx=lid != first)
-                # dw' = dw_lik + kl_scale * dpu_grad, one block of rows
-                # and one in-place operation at a time (each commutes,
-                # so the bits match), in w's buffer: backward has read
-                # all of w, and a block's rows are not read again
+                # dw' = dw_lik + dpu_grad (already times kl_scale), one
+                # block of rows and one in-place operation at a time (each
+                # commutes, so the bits match), in w's buffer: backward has
+                # read all of w, and a block's rows are not read again
                 for rows, dw_lik in dw_blocks:
                     w_rows, eps_rows = w[rows], eps[rows]
                     dw_prime = dpu_grad(w_rows, layer.sigma[rows], eps_rows, cfg,
                                         out=w_rows)
-                    dw_prime *= cfg.kl_scale
                     dw_prime += dw_lik
                     del dw_lik
                     update_gradients(dw_prime, eps_rows,

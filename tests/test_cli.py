@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -281,15 +282,23 @@ class TestTrain:
         pytest.param("cut", "image data: Compressed file ended before the end-of-stream "
                      "marker was reached", id="cut"),
         pytest.param("deflate", "image header: Error -3 while decompressing data: "
-                     "invalid block type", id="deflate")])
+                     "invalid block type", id="deflate"),
+        pytest.param("crc", "image file: CRC check failed 0x0 != {crc}", id="crc"),
+        pytest.param("magic", "image header: Not a gzipped file (b'\\x00\\x00')",
+                     id="magic")])
     def test_damaged_gzip_idx_exits_2(self, tmp_path, capsys, damage, message):
         root = idx_dir(tmp_path, 8, 8)
         plain = root / cli._IDX_NAMES["train"][0]
+        crc = hex(zlib.crc32(plain.read_bytes()))
         raw = bytearray(gzip.compress(plain.read_bytes()))
         if damage == "cut":
             raw = raw[:len(raw) // 2]
-        else:
+        elif damage == "deflate":
             raw[10] = 0xFF  # the first deflate byte: an invalid block type
+        elif damage == "crc":
+            raw[-8:-4] = bytes(4)  # the CRC-32 of the trailer
+        else:
+            raw[:2] = bytes(2)  # the magic bytes
         plain.unlink()
         plain.with_name(plain.name + ".gz").write_bytes(raw)
         out = tmp_path / "m.sbnn"
@@ -297,7 +306,7 @@ class TestTrain:
                     "--samples", "1", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.format(crc=crc)}\n"
         assert captured.out == ""
         assert not out.exists()
 

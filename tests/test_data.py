@@ -123,6 +123,24 @@ class TestIdx:
         with pytest.raises(gzip.BadGzipFile, match=f"{which} header: .*invalid block type"):
             read(path)
 
+    @pytest.mark.parametrize("which", ["image", "label"])
+    @pytest.mark.parametrize("damage,message", [
+        pytest.param("crc", "file: CRC check failed 0x0 != 0x", id="crc"),
+        pytest.param("magic", "header: Not a gzipped file", id="magic")])
+    def test_gzip_rejected_by_gzip_is_named(self, idx_pair, tmp_path, which, damage, message):
+        # gzip's own checks: the CRC trailer fails once the data is read
+        # whole, the magic bytes on the first read
+        raw = bytearray(gzip.compress(idx_pair[0 if which == "image" else 1].read_bytes()))
+        if damage == "crc":
+            raw[-8:-4] = bytes(4)
+        else:
+            raw[:2] = bytes(2)
+        path = tmp_path / "bad.idx.gz"
+        path.write_bytes(raw)
+        read = read_idx_images if which == "image" else read_idx_labels
+        with pytest.raises(gzip.BadGzipFile, match=f"^{which} {message}"):
+            read(path)
+
     def test_reads_in_bounded_chunks(self):
         asked = []
 

@@ -85,6 +85,35 @@ class TestStandardization:
         expect = (counts.astype(np.float64) - n / 2) / np.sqrt(n / 4)
         assert eps.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_exact_widths_equal_the_quotient(self, n, dtype, order):
+        # every count, as a plain array and as the reversed view SHIFT
+        # hands over; the scaled form must give the quotient's bits
+        counts = np.arange(n + 1, dtype=np.uint16)
+        if order == "reversed":
+            counts = counts[::-1]
+        eps = counts_to_eps(counts, n, out=np.empty(counts.shape, dtype))
+        expect = ((counts.astype(np.float64) - n / 2) / np.sqrt(n / 4)).astype(dtype)
+        assert eps.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_exact_width_allocates_nothing_block_sized(self, order):
+        # an fc1 block into a float32 out: no cast buffer (a float64 scale
+        # made one of 128 KiB) and no temporary (one of 32 KiB before)
+        counts = np.random.default_rng(1).integers(0, 257, 313_600).astype(np.uint16)
+        if order == "reversed":
+            counts = counts[::-1]
+        out = np.empty(counts.size, np.float32)
+        tracemalloc.start()
+        try:
+            counts_to_eps(counts, 256, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, peak
+
 
 class TestWindowCounts:
     """Counting by doubling against a direct sum over every window."""

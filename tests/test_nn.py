@@ -210,6 +210,21 @@ class TestAdjoints:
         fd = ((nn.fc_forward(x, wp) * e).sum() - (nn.fc_forward(x, wm) * e).sum()) / (2 * h)
         assert np.isclose(dw[3, 4], fd, rtol=1e-6)
 
+    @pytest.mark.parametrize("x_shape", [(784,), (1, 784), (8, 784), (512, 784)])
+    def test_fc_forward_is_c_contiguous_and_matches_float64(self, x_shape):
+        rng = np.random.default_rng(8)
+        x = rng.random(x_shape, dtype=np.float32)
+        w = rng.standard_normal((400, 784)).astype(np.float32)
+        got = nn.fc_forward(x, w)
+        assert got.shape == x_shape[:-1] + (400,)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        ref = x.astype(np.float64) @ w.T.astype(np.float64)
+        assert np.allclose(got, ref, rtol=1e-5, atol=1e-4)
+
+    def test_fc_forward_rejects_wrong_input_size(self):
+        with pytest.raises(nn.ShapeMismatch):
+            nn.fc_forward(np.zeros((2, 5)), np.zeros((3, 4)))
+
 
 class TestActivations:
     def test_relu(self):

@@ -13,6 +13,7 @@ import pytest
 from shiftbnn import data, nn, train
 from shiftbnn.cli import _RetrievalRecorder
 from shiftbnn.grng import counts_to_eps, grng_init
+from shiftbnn.lfsr import TapSet
 from shiftbnn.train import (
     MODEL_BUILDERS,
     NOISE_TAPS,
@@ -145,6 +146,45 @@ class TestPerWeightMath:
                     for chunk in (1_024, train.SQUARE_CHUNK):
                         buf = np.empty(chunk, np.float64)
                         assert train.square_sum(eps, buf) == expect, (size, dtype, chunk)
+
+    @pytest.mark.parametrize("width", [16, 64, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eps_square_sum_helper_equals_integer_formula(self, width, dtype):
+        # rows of 2^26 / n^2 elements: every float32 partial sum is exact,
+        # the all-0 and all-n blocks (every eps^2 = n) being the largest
+        row = (1 << 26) // width ** 2
+        rng = np.random.default_rng(width)
+        for size in (0, 1, row - 1, row, row + 1, 313_600):
+            blocks = [rng.integers(0, width + 1, size, dtype=np.uint16),
+                      np.zeros(size, np.uint16), np.full(size, width, np.uint16)]
+            for counts in blocks:
+                eps = counts_to_eps(counts, width, out=np.empty(size, dtype))
+                got = train.eps_square_sum(eps, width)
+                assert got == _eps_square_sum_int64(counts, width), (size, counts[:1])
+
+    @pytest.mark.parametrize("width", [8, 12, 24])
+    def test_trainer_rejects_a_width_with_inexact_eps(self, width):
+        cfg = TrainConfig(S=1)
+        model = build_toyconv()
+        model.init_params(cfg)
+        with pytest.raises(ValueError, match=f"tap width {width}"):
+            Trainer(model, cfg, taps=TapSet.default(width))
+
+    @pytest.mark.parametrize("kl_scale", [1.0, 1 / 16, 1 / 187, 1 / 250])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_paper_dpu_grad_has_the_bits_of_divide_then_scale(self, kl_scale, dtype):
+        # one multiply by 4 * kl_scale against w / SIGMA_PRIOR^2, then
+        # * kl_scale, on normal weights and on subnormal ones
+        rng = np.random.default_rng(4)
+        tiny = np.finfo(dtype).smallest_subnormal
+        for w in (rng.standard_normal(4096).astype(dtype),
+                  (rng.integers(-1000, 1000, 4096) * tiny).astype(dtype)):
+            cfg = TrainConfig(kl_scale=kl_scale, dtype=dtype)
+            expect = w / train.SIGMA_PRIOR ** 2
+            expect *= kl_scale
+            got = dpu_grad(w, None, None, cfg, out=w.copy())
+            assert got.dtype == dtype
+            assert got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [5, train.SQUARE_CHUNK])
@@ -761,7 +801,7 @@ class TestBlockedWeightGradient:
             eps = counts_to_eps(trainer.step_log[(i, 0)].reshape(layer.mu.shape),
                                 trainer.n, out=np.empty_like(layer.mu))
             w = eps * layer.sigma + layer.mu
-            dw_prime = (dpu_grad(w, layer.sigma, eps, cfg) * cfg.kl_scale
+            dw_prime = (dpu_grad(w, layer.sigma, eps, cfg)
                         + nn.fc_backward_weights(layer_cache[0], e))
             update_gradients(dw_prime, eps, dmu, dsigma)
             trainer.backward_pass(cache, i)

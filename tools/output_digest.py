@@ -9,8 +9,9 @@ Runs the package of the checkout this script sits in, with
   that this script writes from ``data.synthetic_dataset`` (b-lenet takes
   3x32x32, so it exits 2): the IDX files, checkpoint, log, stdout;
 * ``train`` for b-mlp on ``idx-cut-gz``, a copy of that directory whose
-  training images are gzip-compressed and cut to half their length, so it
-  exits 2: stdout;
+  training images are gzip-compressed and cut to half their length, and on
+  ``idx-bad-crc-gz``, a copy whose gzip-compressed training images have a
+  zeroed CRC trailer; both exit 2: stdout;
 * ``train`` for toy-conv with ``--out missing/x.sbnn``, a directory that
   does not exist, and with ``--out idx``, a directory itself; both exit 2:
   stdout;
@@ -59,22 +60,25 @@ IDX_FILES = (("idx/train-images-idx3-ubyte", "idx/train-labels-idx1-ubyte"),
 
 def write_idx_dir(out_dir: Path) -> list[str]:
     """64 b-mlp-shaped (28x28, 10 classes) examples per split as IDX files
-    under ``out_dir/idx``, and their copy under ``out_dir/idx-cut-gz`` with
-    the training images as a .gz file cut to half its length; the names of
-    the files under ``idx``."""
+    under ``out_dir/idx``, and two copies with the training images as a
+    .gz file: under ``out_dir/idx-cut-gz`` cut to half its length, under
+    ``out_dir/idx-bad-crc-gz`` whole but with its CRC-32 zeroed; the names
+    of the files under ``idx``."""
     (out_dir / "idx").mkdir(exist_ok=True)
-    (out_dir / "idx-cut-gz").mkdir(exist_ok=True)
     for seed, (images, labels) in enumerate(IDX_FILES):
         x, y = data.synthetic_dataset(seed, 64, (28, 28), 10)
         data.write_idx_images(out_dir / images, x)
         data.write_idx_labels(out_dir / labels, y)
     names = [name for pair in IDX_FILES for name in pair]
-    for name in names:
-        raw, copy = (out_dir / name).read_bytes(), out_dir / "idx-cut-gz" / Path(name).name
-        if name == IDX_FILES[0][0]:
-            raw = gzip.compress(raw, mtime=0)
-            raw, copy = raw[:len(raw) // 2], copy.with_name(copy.name + ".gz")
-        copy.write_bytes(raw)
+    for copy_dir, damage in (("idx-cut-gz", lambda gz: gz[:len(gz) // 2]),
+                             ("idx-bad-crc-gz", lambda gz: gz[:-8] + bytes(4) + gz[-4:])):
+        (out_dir / copy_dir).mkdir(exist_ok=True)
+        for name in names:
+            raw, copy = (out_dir / name).read_bytes(), out_dir / copy_dir / Path(name).name
+            if name == IDX_FILES[0][0]:
+                raw = damage(gzip.compress(raw, mtime=0))
+                copy = copy.with_name(copy.name + ".gz")
+            copy.write_bytes(raw)
     return names
 
 
@@ -95,8 +99,9 @@ def runs():
                      "--samples", "8", "--batch", "16", "--epochs", "2",
                      "--out", f"{name}.sbnn", "--report", f"{name}.log"], \
             [f"{name}.sbnn", f"{name}.log"] if model == "b-mlp" else []
-    yield "train-idx-cut-gz", ["train", "--model", "b-mlp", "--dataset", "idx-cut-gz",
-                               "--out", "idx-cut-gz.sbnn"], []
+    for damaged in ("idx-cut-gz", "idx-bad-crc-gz"):
+        yield f"train-{damaged}", ["train", "--model", "b-mlp", "--dataset", damaged,
+                                   "--out", f"{damaged}.sbnn"], []
     for name, out in (("train-missing-out", "missing/x.sbnn"), ("train-dir-out", "idx")):
         yield name, ["train", "--model", "toy-conv", "--dataset", "synthetic:count=64",
                      "--epochs", "2", "--out", out], []
