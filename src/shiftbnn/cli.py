@@ -416,7 +416,8 @@ def run_rng_selftest(settings: dict) -> int:
     stream = grng.grng_init(settings["seed"], 0, train.NOISE_TAPS)
     start = stream.lfsr
     trip_ok = True
-    for k in (313_600, 450):
+    for name in ("b-mlp", "b-lenet"):
+        k = train.MODEL_BUILDERS[name]().bayes_layers()[0][1].weight_count
         drawn = stream.generate_block(k)
         back = stream.retrieve_block(k)
         trip_ok = trip_ok and np.array_equal(back, drawn[::-1]) and stream.lfsr == start

@@ -12,6 +12,7 @@ States are value objects: every shift returns a new ``LfsrState``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,8 @@ def popcount_state(state: LfsrState) -> int:
 # appends s[p + n] = XOR(s[p + n - j] for j in taps) and a reverse shift
 # prepends s[p - 1] via the solved-for-tail form of the same equation.
 # Both directions vectorize over whole blocks and over batches of
-# independent registers, which the training loop and the large randomized
-# checks rely on.
+# independent registers.  The training loop moves one register at a time;
+# only the large randomized checks batch registers.
 #
 # Over GF(2), p(x)^(2^e) = p(x^(2^e)) (Golomb, "Shift Register Sequences",
 # 1967), so s also obeys the recurrence with every tap scaled by 2^e.  The
@@ -197,17 +198,16 @@ def window_to_state(window: np.ndarray, taps: TapSet, position: int) -> LfsrStat
     return LfsrState(bits, taps, position)
 
 
-def _fill(buf: np.ndarray, known: int, taps: TapSet) -> int:
-    """Fill buf[..., known:] from the stream bits buf[..., :known], known >= n;
-    returns the number of passes.
+def _fill(buf: np.ndarray, known: int, taps: TapSet) -> None:
+    """Fill buf[..., known:] from the stream bits buf[..., :known], known >= n.
 
     Each pass takes the largest scale 2^e with n * 2^e <= known, so every
     bit the scaled recurrence reads lies in the buffer, and writes the next
     min(taps) * 2^e bits, which read only known bits.  The scale doubles
     every ceil(n / min(taps)) passes, so k bits take about that many times
-    log2(k / n) passes (``_fill_passes`` counts them exactly).
+    log2(k / n) passes.
     """
-    n, total, passes = taps.width, buf.shape[-1], 0
+    n, total = taps.width, buf.shape[-1]
     while known < total:
         e = (known // n).bit_length() - 1
         blk = min(taps.taps[0] << e, total - known)
@@ -217,21 +217,6 @@ def _fill(buf: np.ndarray, known: int, taps: TapSet) -> int:
         for lo in rest:
             dst ^= buf[..., lo : lo + blk]
         known += blk
-        passes += 1
-    return passes
-
-
-def _fill_passes(known: int, total: int, taps: TapSet) -> int:
-    """Number of passes ``_fill`` makes from ``known`` to ``total`` bits,
-    one step per scale instead of one per pass."""
-    n, passes = taps.width, 0
-    while known < total:
-        e = (known // n).bit_length() - 1
-        step = taps.taps[0] << e
-        todo = -(-(min(total, n << (e + 1)) - known) // step)
-        passes += todo
-        known = min(total, known + todo * step)
-    return passes
 
 
 def _mirror(taps: TapSet) -> TapSet:
@@ -244,30 +229,22 @@ def _mirror(taps: TapSet) -> TapSet:
 @functools.lru_cache(maxsize=256)
 def _reverse_scale(k: int, taps: TapSet) -> tuple[TapSet, int]:
     """(mirror taps, scale exponent m >= 3) of extend_backward's look-ahead
-    window of n * 2^m bits, held as n * 2^(m-3) packed bytes, for k bits.
+    window of n * 2^m bits, held as n * S packed bytes with S = 2^(m-3),
+    for k bits.
 
-    m minimises the cost of the two byte fills: the forward passes that
-    build the window from its first n bytes, the reverse passes over the
-    ceil(k / 8) bytes before it, whose scale starts at 2^(m-3), and the
-    window's bytes at ``_BYTES_PER_PASS`` bytes per pass.  The bits do not
-    depend on m (see the note above ``state_to_window``).
+    With t = min(taps), r = min(mirror taps) and B = ceil(k / 8), the two
+    byte fills cost about (n / t) * log2 S forward passes to build the
+    window from its first n bytes, B / (r * S) reverse passes over the
+    bytes before it, and n * S / ``_BYTES_PER_PASS`` passes' worth of
+    window bytes.  That cost is least at the positive root of
+    (n / _BYTES_PER_PASS) * S^2 + (n / (t ln 2)) * S - B / r = 0, and m is
+    3 plus its log2, rounded and at least 0.  The bits do not depend on m.
     """
     n, mirror = taps.width, _mirror(taps)
-    before = -(-k // 8)
-
-    def cost(m):
-        ahead = n << (m - 3)
-        return (_fill_passes(n, ahead, taps) + _fill_passes(ahead, ahead + before, mirror)
-                + ahead / _BYTES_PER_PASS)
-
-    best, least, m = 3, cost(3), 4
-    # the window term alone grows without bound: stop once it outweighs the best
-    while (n << (m - 3)) / _BYTES_PER_PASS < least:
-        c = cost(m)
-        if c < least:
-            best, least = m, c
-        m += 1
-    return mirror, best
+    a, b, c = n / _BYTES_PER_PASS, n / (taps.taps[0] * math.log(2)), -(-k // 8) / mirror.taps[0]
+    # the positive root of a S^2 + b S - c, written so it does not cancel when c is small
+    root = 2 * c / (b + math.sqrt(b * b + 4 * a * c))
+    return mirror, 3 + round(math.log2(max(root, 1)))
 
 
 def backward_span(k: int, taps: TapSet) -> int:

@@ -31,9 +31,11 @@ from shiftbnn.lfsr import (
     window_to_state,
     x_pow_mod,
 )
+from shiftbnn.train import MODEL_BUILDERS
 
 #: per-sample noise segment sizes of b-mlp (fc1 first) and b-lenet
-SEGMENT_SIZES = (313_600, 160_000, 4_000, 450, 2_400, 48_000, 10_080, 840)
+SEGMENT_SIZES = tuple(layer.weight_count for name in ("b-mlp", "b-lenet")
+                      for _, layer in MODEL_BUILDERS[name]().bayes_layers())
 #: shipped defaults plus the wrong-tap negative control of verify-equivalence
 SCALE_TAPS = [TapSet.default(w) for w in sorted(DEFAULT_TAPS)] + [TapSet(256, (1, 2, 3, 256))]
 
@@ -281,32 +283,16 @@ class TestBulkEngine:
             assert np.shares_memory(got, dirty), k
             assert np.array_equal(dirty[:, : k + n], full), k
 
-    def test_fill_passes_counts_fill(self, monkeypatch):
-        """Every pass count ``_reverse_scale`` weighs, for both byte fills
-        of ``extend_backward`` at every scale it tries, is the number of
-        passes ``_fill`` makes; the reverse fills cover the ceil(k / 8)
-        packed bytes before the window."""
-        passes, asked = lfsr._fill_passes, []
-
-        def recording(known, total, taps):
-            asked.append((known, total, taps))
-            return passes(known, total, taps)
-
-        monkeypatch.setattr(lfsr, "_fill_passes", recording)
-        for taps in SCALE_TAPS:
-            mirror = lfsr._mirror(taps)
-            for k in block_sizes(taps.width):
-                start = len(asked)
-                lfsr._reverse_scale.__wrapped__(k, taps)
-                reverse = {total - known for known, total, ts in asked[start:] if ts == mirror}
-                assert reverse == {-(-k // 8)}, (taps, k)
-        monkeypatch.undo()
-        asked = set(asked)
-        assert {ts for _, _, ts in asked} >= set(SCALE_TAPS)
-        buf = np.zeros(max(total for _, total, _ in asked), np.uint8)
-        for known, total, taps in asked:
-            assert lfsr._fill(buf[:total], known, taps) == passes(known, total, taps), (
-                known, total, taps)
+    def test_reverse_scale(self):
+        """``extend_backward``'s look-ahead scale m: with taps (1, 2, 3, 256),
+        whose forward passes write one byte each, m stays 3 at every block
+        size; with the shipped taps m never falls as k grows and is 14 at
+        b-mlp fc1."""
+        sizes = block_sizes(256)
+        assert {lfsr._reverse_scale(k, TapSet(256, (1, 2, 3, 256)))[1] for k in sizes} == {3}
+        scales = [lfsr._reverse_scale(k, TapSet.default(256))[1] for k in sizes]
+        assert scales == sorted(scales)
+        assert lfsr._reverse_scale(SEGMENT_SIZES[0], TapSet.default(256))[1] == 14
 
     def test_short_buffer_rejected(self):
         ts = TapSet.default(256)
