@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from shiftbnn.data import CountMismatch, TruncatedFile
 from shiftbnn.grng import (
     BlockScratch,
+    GrngStream,
     UnderflowBeforeSeed,
     counts_to_eps,
     derive_seed,
@@ -24,6 +25,7 @@ from shiftbnn.grng import (
 from shiftbnn.lfsr import (
     DEFAULT_TAPS,
     TapSet,
+    new_lfsr,
     popcount_state,
     shift_forward,
     shift_reverse,
@@ -289,6 +291,31 @@ class TestBlockEngine:
         whole = a.generate_block(total)
         parts = np.concatenate([b.generate_block(k) for k in splits])
         assert np.array_equal(whole, parts)
+
+
+class TestMoments:
+    def test_large_sample_near_standard(self):
+        # documented default stream; window counts are autocorrelated so
+        # the variance estimate is noisy across seeds
+        stream = grng_init(0, 0, TapSet.default(256))
+        eps = counts_to_eps(stream.generate_block(1_000_000), 256)
+        assert abs(eps.mean()) <= 0.01
+        assert 0.98 <= eps.var() <= 1.02
+
+    def test_full_period_counts_width16(self):
+        # over one full period the window contents enumerate every nonzero
+        # 16-bit word exactly once, so the count histogram must equal the
+        # popcount histogram of 1..65535
+        taps = TapSet.default(16)
+        stream = GrngStream(new_lfsr(16, taps, 1))
+        period = (1 << 16) - 1
+        counts = stream.generate_block(period)
+        observed = np.bincount(counts, minlength=17)
+        words = np.arange(1, 1 << 16, dtype=np.uint32)
+        expected = np.bincount(
+            np.unpackbits(words.view(np.uint8).reshape(-1, 4), axis=1)[:, :].sum(axis=1),
+            minlength=17)
+        assert np.array_equal(observed, expected)
 
 
 class TestEpsilonLog:
