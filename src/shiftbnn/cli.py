@@ -87,6 +87,8 @@ SETTINGS = {
     "out": Setting(_path, "checkpoint.sbnn", "a non-empty path"),
     "report": Setting(_path, None, "a non-empty path"),
     "eps_double_read": Setting(_switch, False, "true or false"),
+    # negative control: the SHIFT trainer gets another tap set
+    "corrupt_second_pass": Setting(_switch, False, "true or false"),
     "samples_list": Setting(lambda raw: [_count(s) for s in raw.split(",")],
                             (8, 16, 32, 64, 128), "comma-separated integers >= 1"),
     "models": Setting(str, "all", "all or comma-separated network names"),
@@ -96,7 +98,7 @@ COMMANDS = {
     "train": ("model", "dataset", "samples", "strategy", "grad_mode", "epochs",
               "lr", "seed", "batch", "kl_scale", "limit", "out", "report"),
     "verify-equivalence": ("model", "dataset", "samples", "grad_mode", "lr",
-                           "seed", "batch", "steps", "out"),
+                           "seed", "batch", "steps", "out", "corrupt_second_pass"),
     "cost-report": ("models", "samples_list", "eps_double_read", "report"),
     "rng-selftest": ("seed",),
 }
@@ -237,7 +239,7 @@ def _trainer(settings: dict, model: train.Model, strategy: str, kl_scale: float 
     return cls(model, cfg, taps=taps)
 
 
-def run_train(settings: dict, log_stream=sys.stdout) -> int:
+def run_train(settings: dict) -> int:
     _check_out_dirs(settings["out"], settings["report"])
     model = _lookup(train.MODEL_BUILDERS, settings["model"], "model")()
     x_train, y_train = _load_split(settings, "train", model)
@@ -248,21 +250,12 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
     batch = settings["batch"] or (128 if os.path.isdir(settings["dataset"]) else 8)
     kl = settings["kl_scale"]
     if kl is None:
-        kl = 1.0 / max(math.ceil(len(x_train) / batch), 1)
+        kl = 1.0 / math.ceil(len(x_train) / batch)
     trainer = _trainer(settings, model, settings["strategy"], kl_scale=kl)
 
-    log_path = settings["report"]
-    log_file = open(log_path, "w") if log_path else None
-
-    def log(line):
-        print(line, file=log_stream)
-        if log_file:
-            print(line, file=log_file, flush=True)
-
     step = 0
-    try:
+    with open(settings["report"] or os.devnull, "w") as report:
         for epoch in range(1, settings["epochs"] + 1):
-            loss = None
             for lo in range(0, len(x_train), batch):
                 loss = trainer.train_step(x_train[lo:lo + batch],
                                           y_train[lo:lo + batch])
@@ -274,11 +267,9 @@ def run_train(settings: dict, log_stream=sys.stdout) -> int:
                           f"post={loss.log_posterior}, "
                           f"prior={loss.neg_log_prior})", file=sys.stderr)
                     return 3
-            val_acc = trainer.accuracy(x_val, y_val)
-            log(f"{epoch},{step},{loss.total:.6f},{val_acc:.4f}")
-    finally:
-        if log_file:
-            log_file.close()
+            line = f"{epoch},{step},{loss.total:.6f},{trainer.accuracy(x_val, y_val):.4f}"
+            print(line)
+            print(line, file=report, flush=True)
     train.save_checkpoint(settings["out"], model)
     return 0
 
@@ -300,7 +291,7 @@ class _RetrievalRecorder(train.Trainer):
         return counts
 
 
-def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) -> int:
+def run_verify_equivalence(settings: dict) -> int:
     """Steps a STORE and a SHIFT trainer in lockstep on the same batches.
 
     After each step, the counts SHIFT retrieved must equal the ones STORE
@@ -316,7 +307,7 @@ def run_verify_equivalence(settings: dict, corrupt_second_pass: bool = False) ->
     store = _trainer(settings, build(), "store", cls=_RetrievalRecorder)
     x, y = _load_split(settings, "train", store.model)
     n = train.NOISE_TAPS.width
-    taps = lfsr.TapSet(n, (1, 2, 3, n)) if corrupt_second_pass else None
+    taps = lfsr.TapSet(n, (1, 2, 3, n)) if settings["corrupt_second_pass"] else None
     shift = _trainer(settings, build(), "shift", cls=_RetrievalRecorder, taps=taps)
     batch = settings["batch"] or 8
     draws = steps * settings["samples"] * sum(
@@ -452,9 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                       if setting.parse is _switch else {})
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=setting.takes, **switch)
-        if command == "verify-equivalence":
-            p.add_argument("--corrupt-second-pass", action="store_true",
-                           help="negative control: give the SHIFT trainer another tap set")
     return parser
 
 
@@ -472,19 +460,15 @@ def _pin_blas_threads() -> None:
           "OPENBLAS_NUM_THREADS", file=sys.stderr)
 
 
+RUNNERS = {"train": run_train, "verify-equivalence": run_verify_equivalence,
+           "cost-report": run_cost_report, "rng-selftest": run_rng_selftest}
+
+
 def main(argv=None) -> int:
     _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
-        settings = resolve(args)
-        if args.command == "train":
-            return run_train(settings)
-        if args.command == "verify-equivalence":
-            return run_verify_equivalence(
-                settings, corrupt_second_pass=args.corrupt_second_pass)
-        if args.command == "cost-report":
-            return run_cost_report(settings)
-        return run_rng_selftest(settings)
+        return RUNNERS[args.command](resolve(args))
     except (ConfigError, OSError, UnicodeError, data.BadMagic, data.TruncatedFile,
             data.CountMismatch, nn.ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

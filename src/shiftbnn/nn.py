@@ -104,9 +104,7 @@ def conv_backward_data(e: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
             np.matmul(w_slots[kr, kc], errs, out=part)
             dxp[..., kr : kr + R * stride : stride,
                 kc : kc + C * stride : stride] += part.reshape(B, N, R, C)
-    if pad:
-        dxp = dxp[..., pad:-pad, pad:-pad]
-    return dxp.reshape(e.shape[:-3] + dxp.shape[1:])
+    return dxp[..., pad:pad + H, pad:pad + W].reshape(e.shape[:-3] + (N, H, W))
 
 
 def conv_backward_weights(x: np.ndarray, e: np.ndarray, K: int,

@@ -24,6 +24,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def cli_process(*argv, **env):
+    """Runs ``python -m shiftbnn.cli argv`` on this package with ``env`` added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH":
+           os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "shiftbnn.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 def idx_dir(root, train_count, test_count):
     """An IDX directory of 28x28 images with the given split sizes."""
     rng = np.random.default_rng(0)
@@ -154,10 +163,7 @@ class TestSettingsTable:
     ])
     def test_every_accepted_setting_is_read(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
-        runner = {"train": cli.run_train,
-                  "verify-equivalence": cli.run_verify_equivalence,
-                  "cost-report": cli.run_cost_report,
-                  "rng-selftest": cli.run_rng_selftest}[argv[0]]
+        runner = cli.RUNNERS[argv[0]]
         settings = _Recording(cli.resolve(cli.build_parser().parse_args(argv)))
         assert set(settings) == set(cli.COMMANDS[argv[0]])
         assert runner(settings) == 0
@@ -193,6 +199,27 @@ class TestTrain:
         epoch, step, loss, acc = lines[0].split(",")
         assert int(epoch) == 1
         assert float(loss) > 0
+
+    def test_epoch_lines_go_to_current_stdout(self, tmp_path, capsys):
+        # sys.stdout is looked up when the line is printed, so capsys (or any
+        # redirection made after import) sees it
+        assert run(["train", "--model", "toy-conv", "--dataset", "synthetic:count=8",
+                    "--samples", "1", "--out", str(tmp_path / "m.sbnn")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("1,1,")
+
+    def test_nonfinite_loss_exits_3_and_writes_no_checkpoint(self, tmp_path):
+        # a subprocess, so numpy's overflow warnings stay warnings
+        report, out = tmp_path / "R", tmp_path / "C"
+        proc = cli_process("train", "--model", "toy-conv", "--dataset", "synthetic:count=32",
+                           "--samples", "1", "--lr", "1e30", "--report", str(report),
+                           "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith(
+            "error: non-finite loss nan at epoch 1 step 2 (")
+        assert report.read_bytes() == b""
+        assert not out.exists()
 
     def test_deterministic_given_flags(self, tmp_path):
         outs = []
@@ -420,14 +447,25 @@ class TestVerifyEquivalence:
         assert captured.err == f"error: cannot write {out}.store: it is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.store"]
 
+    CORRUPT_DIVERGENCE = ("epsilon divergence at step 0, sample 0, layer 3, draw 20: "
+                          "generated count 92 vs retrieved 91\n")
+
     def test_corrupted_taps_detected(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run(["verify-equivalence", "--model", "toy-conv",
                     "--dataset", SYNTH, "--samples", "2", "--steps", "3",
                     "--out", str(out), "--corrupt-second-pass"])
         assert code == 1
-        assert ("epsilon divergence at step 0, sample 0, layer 3, draw 20: "
-                "generated count 92 vs retrieved 91\n") in capsys.readouterr().out
+        assert self.CORRUPT_DIVERGENCE in capsys.readouterr().out
+
+    def test_corrupted_taps_from_config_detected(self, tmp_path, capsys):
+        conf = tmp_path / "v.conf"
+        conf.write_text("corrupt_second_pass = true\n")
+        code = run(["verify-equivalence", "--config", str(conf), "--model", "toy-conv",
+                    "--dataset", SYNTH, "--samples", "2", "--steps", "3",
+                    "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert self.CORRUPT_DIVERGENCE in capsys.readouterr().out
 
 
 class TestCostReport:
@@ -511,14 +549,11 @@ class TestBlasThreads:
         in one order whatever ``OPENBLAS_NUM_THREADS`` asks for; unpinned,
         one step already writes other bytes with 2 threads.  On a 1-core
         host both runs use one thread, and the test cannot tell them apart."""
-        src = str(Path(cli.__file__).resolve().parents[1])
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"{threads}.sbnn"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH":
-                   os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            subprocess.run([sys.executable, "-m", "shiftbnn.cli", "train", "--model", "b-mlp",
-                            "--dataset", "synthetic", "--seed", "3", "--limit", "8",
-                            "--out", str(out)], env=env, capture_output=True, check=True)
+            cli_process("train", "--model", "b-mlp", "--dataset", "synthetic", "--seed", "3",
+                        "--limit", "8", "--out", str(out),
+                        OPENBLAS_NUM_THREADS=threads).check_returncode()
             written.append(out.read_bytes())
         assert written[0] == written[1]

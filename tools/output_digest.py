@@ -15,6 +15,9 @@ Runs the package of the checkout this script sits in, with
 * ``train`` for toy-conv with ``--out missing/x.sbnn``, a directory that
   does not exist, and with ``--out idx``, a directory itself; both exit 2:
   stdout;
+* ``train-nonfinite``: ``train`` for toy-conv with ``--lr 1e30``
+  (``synthetic:count=32``, S=1), whose loss turns nan at step 2, so it
+  exits 3: the report, stdout;
 * ``verify-equivalence`` for b-mlp and b-lenet (4 steps, S=8): both
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
 * its negative control, b-lenet with ``--corrupt-second-pass`` (1 step,
@@ -105,6 +108,9 @@ def runs():
     for name, out in (("train-missing-out", "missing/x.sbnn"), ("train-dir-out", "idx")):
         yield name, ["train", "--model", "toy-conv", "--dataset", "synthetic:count=64",
                      "--epochs", "2", "--out", out], []
+    yield "train-nonfinite", ["train", "--model", "toy-conv", "--dataset", "synthetic:count=32",
+                              "--samples", "1", "--lr", "1e30", "--report", "nonfinite.log",
+                              "--out", "nonfinite.sbnn"], ["nonfinite.log"]
     for model in ("b-mlp", "b-lenet"):
         name = f"verify-{model}"
         yield name, ["verify-equivalence", "--model", model, "--steps", "4",
