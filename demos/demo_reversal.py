@@ -8,7 +8,7 @@ registers, so any forward trajectory can be unwound exactly.
 from shiftbnn import TapSet, new_lfsr, shift_forward, shift_reverse
 
 taps = TapSet.default(8)
-state = new_lfsr(8, taps, 0b1010_0110)
+state = new_lfsr(taps, 0b1010_0110)
 print(f"taps {taps.taps}, seed {state.bits:08b}")
 
 trace = []

@@ -15,6 +15,7 @@ numpy's OpenBLAS on one thread, so sums come out the same whatever
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import math
 import os
@@ -254,7 +255,10 @@ def run_train(settings: dict) -> int:
     trainer = _trainer(settings, model, settings["strategy"], kl_scale=kl)
 
     step = 0
-    with open(settings["report"] or os.devnull, "w") as report:
+    # the report is opened when its first line is due, so a run that fails
+    # in its first epoch leaves an existing report as it was
+    report = None
+    with contextlib.ExitStack() as stack:
         for epoch in range(1, settings["epochs"] + 1):
             for lo in range(0, len(x_train), batch):
                 loss = trainer.train_step(x_train[lo:lo + batch],
@@ -269,6 +273,8 @@ def run_train(settings: dict) -> int:
                     return 3
             line = f"{epoch},{step},{loss.total:.6f},{trainer.accuracy(x_val, y_val):.4f}"
             print(line)
+            if report is None:
+                report = stack.enter_context(open(settings["report"] or os.devnull, "w"))
             print(line, file=report, flush=True)
     train.save_checkpoint(settings["out"], model)
     return 0
@@ -395,7 +401,7 @@ def run_rng_selftest(settings: dict) -> int:
     taps8 = lfsr.TapSet.default(8)
     bad = 0
     for seed in range(1, 256):
-        state = lfsr.new_lfsr(8, taps8, seed)
+        state = lfsr.new_lfsr(taps8, seed)
         fwd, _, _ = lfsr.shift_forward(state)
         back, _, _ = lfsr.shift_reverse(fwd)
         if back.bits != state.bits:
@@ -439,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat 'key = value' file of these settings")
         for key in names:
             setting = SETTINGS[key]
-            switch = ({"action": "store_const", "const": "true"}
-                      if setting.parse is _switch else {})
+            # a bare switch means true; "--switch false" turns a config file's true off
+            switch = {"nargs": "?", "const": "true"} if setting.parse is _switch else {}
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=setting.takes, **switch)
     return parser

@@ -74,10 +74,10 @@ def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray,
+def _window_counts(full: np.ndarray, n: int, work: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """1s counts of the k windows full[i+1 : i+1+n], i < k, as uint16: in
-    ``out`` (k long) when given, else in a new array.
+    """1s counts of the k = len(full) - n windows full[i+1 : i+1+n], i < k,
+    as uint16: in ``out`` (k long) when given, else in a new array.
 
     Counting by doubling: level w holds every w-bit window sum of full[1:],
     level_w[j] = level_{w/2}[j] + level_{w/2}[j + w/2], one uint8 add into
@@ -88,8 +88,8 @@ def _window_counts(full: np.ndarray, n: int, k: int, work: np.ndarray,
     bits at n = 256); the counts add them up.  The adds are integer adds,
     so their order does not change the result.
     """
-    top = min(128, 1 << (n.bit_length() - 1))
-    level = full[1 : n + k]
+    k, top = len(full) - n, min(128, 1 << (n.bit_length() - 1))
+    level = full[1:]
     halves = work[: level.size], work[level.size : 2 * level.size]
     counts = np.empty(k, np.uint16) if out is None else out
     w, at = 1, 0
@@ -221,7 +221,7 @@ class GrngStream:
         extend = extend_backward if backward else extend_forward
         extend(state_to_window(self.lfsr), k, taps, out=buf)
         full = buf[: n + k]
-        counts = _window_counts(full, n, k, buf[n + k :], out)
+        counts = _window_counts(full, n, buf[n + k :], out)
         self.reset_to(window_to_state(full[:n] if backward else full[k:], taps, position))
         return counts
 
@@ -229,7 +229,7 @@ class GrngStream:
 def grng_init(master_seed: int, stream_id: int, taps: TapSet,
               scratch: BlockScratch | None = None) -> GrngStream:
     seed = derive_seed(master_seed, stream_id, taps.width)
-    return GrngStream(new_lfsr(taps.width, taps, seed), scratch)
+    return GrngStream(new_lfsr(taps, seed), scratch)
 
 
 # ---------------------------------------------------------------------------

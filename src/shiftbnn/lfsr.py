@@ -108,13 +108,12 @@ class LfsrState:
         return (self.bits >> (self.taps.width - i)) & 1
 
 
-def new_lfsr(width: int, taps: TapSet, seed: int) -> LfsrState:
-    if taps.width != width:
-        raise InvalidTaps(f"tap width {taps.width} != requested width {width}")
+def new_lfsr(taps: TapSet, seed: int) -> LfsrState:
+    """A register of ``taps.width`` bits holding ``seed``, at position 0."""
     if seed == 0:
         raise ZeroSeed("all-zero seed is a fixed point of the recurrence")
-    if seed < 0 or seed >> width:
-        raise ValueError(f"seed does not fit in {width} bits")
+    if seed < 0 or seed >> taps.width:
+        raise ValueError(f"seed does not fit in {taps.width} bits")
     return LfsrState(bits=seed, taps=taps, position=0)
 
 
@@ -325,7 +324,7 @@ def extend_backward(window: np.ndarray, k: int, taps: TapSet,
 
 def orbit_period(taps: TapSet, seed: int = 1) -> int:
     """Length of the state orbit from ``seed`` (brute force; small widths)."""
-    state = new_lfsr(taps.width, taps, seed)
+    state = new_lfsr(taps, seed)
     start = state.bits
     steps = 0
     while True:

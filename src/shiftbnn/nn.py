@@ -76,23 +76,21 @@ def conv_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) ->
     return out
 
 
-def conv_backward_data(e: np.ndarray, w: np.ndarray, in_hw: tuple[int, int],
-                       stride: int = 1, pad: int = 0) -> np.ndarray:
+def conv_backward_data(e: np.ndarray, w: np.ndarray, stride: int = 1,
+                       pad: int = 0) -> np.ndarray:
     """Propagate output errors [(B,)M,R,C] back to input errors [(B,)N,H,W].
 
     Mathematically the adjoint of conv_forward; equals full correlation
-    with 180-degree rotated kernels for stride 1.  Each kernel slot
-    (kr, kc) is one batched [N,M] @ [B,M,R*C] product added into the
-    strided input positions that slot touched.
+    with 180-degree rotated kernels for stride 1.  conv_forward takes only
+    extents that divide exactly, so H = (R - 1) * stride + K - 2 * pad, and
+    W likewise.  Each kernel slot (kr, kc) is one batched [N,M] @ [B,M,R*C]
+    product added into the strided input positions that slot touched.
     """
     M, N, K, _ = w.shape
     if e.shape[-3] != M:
         raise ShapeMismatch(f"error channels {e.shape[-3]} != weight out-channels {M}")
-    H, W = in_hw
-    R = out_extent(H, K, stride, pad)
-    C = out_extent(W, K, stride, pad)
-    if e.shape[-2:] != (R, C):
-        raise ShapeMismatch(f"error extents {e.shape[-2:]} != expected {(R, C)}")
+    R, C = e.shape[-2:]
+    H, W = ((n - 1) * stride + K - 2 * pad for n in (R, C))
     errs = e.reshape((-1, M, R * C))
     B = len(errs)
     # [K, K, N, M]: slot (kr, kc) maps output errors to input channels
@@ -203,13 +201,12 @@ def maxpool_fwd(x: np.ndarray, k: int = 2):
     return out, slot
 
 
-def maxpool_bwd(e: np.ndarray, slot: np.ndarray, in_hw: tuple[int, int],
-                k: int = 2) -> np.ndarray:
-    """Route each output error to its window's ``slot``; every other input
-    gets +0.0.  Each slot view of dx is written once with
-    e * (slot == j) + 0.0, the bits of adding the masked error into zeros
-    (a -0.0 error lands as +0.0)."""
-    dx = np.empty(e.shape[:-2] + tuple(in_hw), dtype=e.dtype)
+def maxpool_bwd(e: np.ndarray, slot: np.ndarray, k: int = 2) -> np.ndarray:
+    """Route each output error to its window's ``slot`` of the k times larger
+    input; every other input gets +0.0.  Each slot view of dx is written
+    once with e * (slot == j) + 0.0, the bits of adding the masked error
+    into zeros (a -0.0 error lands as +0.0)."""
+    dx = np.empty(e.shape[:-2] + tuple(k * n for n in e.shape[-2:]), dtype=e.dtype)
     hit = np.empty(slot.shape, bool)
     routed = np.empty(e.shape, e.dtype)
     for j, view in enumerate(_pool_slots(dx, k)):

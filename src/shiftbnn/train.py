@@ -39,9 +39,9 @@ Under SHIFT the streams write each block's counts into a uint16 view of
 the front of the w buffer, which is idle until ``_sample`` writes w,
 after ``counts_to_eps`` has read them; STORE's counts are new arrays, as
 they are its log.  So the SHIFT noise path allocates only a retrieval's
-unpacked bits, 64 KiB at a time.  sigma is fixed within a step, so the
-sigma terms of the log densities (-sum log sigma and the sqrt(2 pi)
-constants) are taken once per layer per step.  sum log sigma and sum w^2
+unpacked bits, 64 KiB at a time.  sigma is fixed within a step, so only
+-sum log sigma is taken per layer per step; the sqrt(2 pi) terms and the
+prior's normaliser are constants per weight.  sum log sigma and sum w^2
 go through one float64 buffer of at most 16 Ki elements, a chunk at a
 time, so only their float64 summation order differs from a float64 copy,
 within 1e-12 relative.  sum(eps^2) needs no copy (``eps_square_sum``):
@@ -92,6 +92,8 @@ SIGMA_MIN = 1e-6
 #: keeps early activations bounded
 SIGMA_INIT = 0.005
 LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+#: -log p(w) per weight, less w^2 / (2 sigma_p^2): the prior's normaliser
+LOG_PRIOR_NORM = math.log(SIGMA_PRIOR) + LOG_SQRT_2PI
 
 
 @dataclass
@@ -281,7 +283,7 @@ class BayesConv(BayesLayer):
         """
         dx = None
         if need_dx:
-            dx = nn.conv_backward_data(e, w, x.shape[-2:], self.stride, self.pad)
+            dx = nn.conv_backward_data(e, w, self.stride, self.pad)
         return dx, [(slice(None), nn.conv_backward_weights(x, e, self.K, self.stride,
                                                            self.pad))]
 
@@ -343,12 +345,10 @@ class MaxPool:
                                      for n in in_shape[-2:])
 
     def forward(self, x):
-        out, slot = nn.maxpool_fwd(x, self.k)
-        return out, (slot, x.shape[-2:])
+        return nn.maxpool_fwd(x, self.k)
 
-    def backward(self, e, aux):
-        slot, in_hw = aux
-        return nn.maxpool_bwd(e, slot, in_hw, self.k)
+    def backward(self, e, slot):
+        return nn.maxpool_bwd(e, slot, self.k)
 
 
 class Model:
@@ -464,20 +464,16 @@ class Trainer:
         w += layer.mu
         return eps, w
 
-    def _sigma_terms(self) -> tuple[dict, dict]:
-        """Per Bayesian layer id, the sigma-only terms of log q(w) and of
-        -log p(w).  sigma is fixed within a step, so the sample-independent
-        terms of log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2
-        and of -log p(w) = |W| (log sigma_p + log sqrt(2 pi)) + sum w^2 / (2 sigma_p^2)
-        are taken once per layer per step."""
-        post_const, prior_const = {}, {}
-        for lid, layer in enumerate(self.model.layers):
-            if isinstance(layer, BayesLayer):
-                log_sigma = log_sum(layer.sigma, self._square_buf)
-                post_const[lid] = -log_sigma - layer.weight_count * LOG_SQRT_2PI
-                prior_const[lid] = layer.weight_count * (math.log(SIGMA_PRIOR)
-                                                         + LOG_SQRT_2PI)
-        return post_const, prior_const
+    def _sigma_terms(self) -> dict:
+        """Per Bayesian layer id, the sample-independent terms of
+        log q(w) = -sum log sigma - |W| log sqrt(2 pi) - sum eps^2 / 2.
+        sigma is fixed within a step, so they are taken once per layer per
+        step; -log p(w) = |W| ``LOG_PRIOR_NORM`` + sum w^2 / (2 sigma_p^2)
+        has no sigma term."""
+        return {lid: -log_sum(layer.sigma, self._square_buf)
+                - layer.weight_count * LOG_SQRT_2PI
+                for lid, layer in enumerate(self.model.layers)
+                if isinstance(layer, BayesLayer)}
 
     def forward_pass(self, x, y, sample_id: int, sigma_terms):
         """Sample ``sample_id``'s forward pass; returns (cache, LossBreakdown).
@@ -489,7 +485,6 @@ class Trainer:
         to ``step_log`` (STORE).
         """
         cfg = self.cfg
-        post_const, prior_const = sigma_terms
         a = x
         layer_cache = []
         p_s = 0.0
@@ -499,9 +494,9 @@ class Trainer:
                 # eps and w in their buffers; the counts are dropped once read
                 eps, w = self._sample(self._counts(sample_id, lid, layer, backward=False),
                                       layer)
-                p_s += post_const[lid] - 0.5 * eps_square_sum(eps, self.n)
-                p_r += prior_const[lid] + (square_sum(w, self._square_buf)
-                                           / (2 * SIGMA_PRIOR ** 2))
+                p_s += sigma_terms[lid] - 0.5 * eps_square_sum(eps, self.n)
+                p_r += (layer.weight_count * LOG_PRIOR_NORM
+                        + square_sum(w, self._square_buf) / (2 * SIGMA_PRIOR ** 2))
                 layer_cache.append(a)
                 a = layer.forward(a, w)
             else:

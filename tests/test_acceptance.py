@@ -55,7 +55,7 @@ def test_01_lfsr_reversibility():
     started = time.time()
     taps8 = TapSet.default(8)
     for seed in range(1, 256):
-        s = new_lfsr(8, taps8, seed)
+        s = new_lfsr(taps8, seed)
         f, _, _ = shift_forward(s)
         b, _, _ = shift_reverse(f)
         assert b.bits == s.bits and b.position == s.position
@@ -72,7 +72,7 @@ def test_01_lfsr_reversibility():
     # lands every register back on its seed window
     assert np.array_equal(recovered, stream[:, :k])
     # scalar spot check that block and stepwise traces agree bit for bit
-    s = new_lfsr(256, taps, int.from_bytes(np.packbits(
+    s = new_lfsr(taps, int.from_bytes(np.packbits(
         windows[0], bitorder="little").tobytes(), "little"))
     fwd_trace = []
     for _ in range(500):
@@ -124,7 +124,7 @@ def test_03_gaussian_moments():
     assert 0.98 <= eps.var() <= 1.02
 
     taps = TapSet.default(16)
-    s16 = GrngStream(new_lfsr(16, taps, 1))
+    s16 = GrngStream(new_lfsr(taps, 1))
     counts = s16.generate_block((1 << 16) - 1)
     observed = np.bincount(counts, minlength=17)
     words = np.arange(1, 1 << 16, dtype=np.uint32)
@@ -202,7 +202,7 @@ def test_05_kernel_flip_retrieval():
         full = nn.conv_forward(dilated, counts_to_eps(rotated, stream.n).transpose(1, 0, 2, 3),
                                1, k - 1)
         expected = full[:, pad:pad + hw, pad:pad + hw]
-        direct = nn.conv_backward_data(e, w, (hw, hw), stride, pad)
+        direct = nn.conv_backward_data(e, w, stride, pad)
         # the two sum their partial products in different orders, so agree
         # to float rounding, not bit-for-bit
         assert np.allclose(direct, expected, rtol=0, atol=1e-10)

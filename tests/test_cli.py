@@ -209,8 +209,10 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("1,1,")
 
     def test_nonfinite_loss_exits_3_and_writes_no_checkpoint(self, tmp_path):
-        # a subprocess, so numpy's overflow warnings stay warnings
+        # a subprocess, so numpy's overflow warnings stay warnings; no epoch
+        # ends, so an existing report keeps its bytes
         report, out = tmp_path / "R", tmp_path / "C"
+        report.write_bytes(b"1,8,1.000000,0.5000\n")
         proc = cli_process("train", "--model", "toy-conv", "--dataset", "synthetic:count=32",
                            "--samples", "1", "--lr", "1e30", "--report", str(report),
                            "--out", str(out))
@@ -218,7 +220,7 @@ class TestTrain:
         assert proc.stdout == ""
         assert proc.stderr.splitlines()[-1].startswith(
             "error: non-finite loss nan at epoch 1 step 2 (")
-        assert report.read_bytes() == b""
+        assert report.read_bytes() == b"1,8,1.000000,0.5000\n"
         assert not out.exists()
 
     def test_deterministic_given_flags(self, tmp_path):
@@ -467,6 +469,15 @@ class TestVerifyEquivalence:
         assert code == 1
         assert self.CORRUPT_DIVERGENCE in capsys.readouterr().out
 
+    def test_switch_flag_false_overrides_config(self, tmp_path, capsys):
+        conf = tmp_path / "v.conf"
+        conf.write_text("corrupt_second_pass = true\n")
+        code = run(["verify-equivalence", "--model", "toy-conv", "--dataset", SYNTH,
+                    "--samples", "1", "--steps", "1", "--config", str(conf),
+                    "--corrupt-second-pass", "false", "--out", str(tmp_path / "v")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("equivalent: ")
+
 
 class TestCostReport:
     def test_csv_written_and_parses(self, tmp_path, capsys):
@@ -527,6 +538,15 @@ class TestCostReport:
         out = capsys.readouterr().out
         ratio = float(out.split("traffic_ratio=")[1].split()[0])
         assert ratio >= 4.0
+
+    def test_switch_flag_false_is_the_default(self, tmp_path, capsys):
+        outputs = []
+        for name, extra in (("a.csv", []), ("b.csv", ["--eps-double-read", "false"])):
+            report = tmp_path / name
+            assert run(["cost-report", "--models", "b-mlp", "--samples-list", "8",
+                        "--report", str(report), *extra]) == 0
+            outputs.append((capsys.readouterr().out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestRngSelftest:

@@ -142,7 +142,7 @@ class TestWindowCounts:
             # all ones makes every count n: a wrapped uint8 level shows
             expect = np.lib.stride_tricks.sliding_window_view(full, n)[1:].sum(axis=1)
             work = np.full(2 * (n + k), 0xFF, np.uint8)
-            counts = _window_counts(full, n, k, work)
+            counts = _window_counts(full, n, work)
             assert counts.dtype == np.uint16, k
             assert np.array_equal(counts, expect), k
 
@@ -307,7 +307,7 @@ class TestMoments:
         # 16-bit word exactly once, so the count histogram must equal the
         # popcount histogram of 1..65535
         taps = TapSet.default(16)
-        stream = GrngStream(new_lfsr(16, taps, 1))
+        stream = GrngStream(new_lfsr(taps, 1))
         period = (1 << 16) - 1
         counts = stream.generate_block(period)
         observed = np.bincount(counts, minlength=17)

@@ -136,21 +136,17 @@ class TestTapSet:
 class TestSeeding:
     def test_zero_seed_rejected(self):
         with pytest.raises(ZeroSeed):
-            new_lfsr(8, TapSet.default(8), 0)
+            new_lfsr(TapSet.default(8), 0)
 
     def test_oversized_seed_rejected(self):
         with pytest.raises(ValueError):
-            new_lfsr(8, TapSet.default(8), 1 << 8)
-
-    def test_width_mismatch(self):
-        with pytest.raises(InvalidTaps):
-            new_lfsr(12, TapSet.default(8), 1)
+            new_lfsr(TapSet.default(8), 1 << 8)
 
 
 class TestShifting:
     def test_forward_drops_tail_feeds_head(self):
         ts = TapSet(8, (4, 5, 6, 8))
-        s = new_lfsr(8, ts, 0b0000_0001)  # only R_8 set
+        s = new_lfsr(ts, 0b0000_0001)  # only R_8 set
         s2, head_in, tail_out = shift_forward(s)
         assert tail_out == 1
         assert head_in == 1  # XOR over R4,R5,R6,R8 = 1
@@ -160,7 +156,7 @@ class TestShifting:
     def test_exhaustive_involution_width8(self):
         ts = TapSet.default(8)
         for seed in range(1, 256):
-            s = new_lfsr(8, ts, seed)
+            s = new_lfsr(ts, seed)
             f, head_in, tail_out = shift_forward(s)
             b, tail_in, head_out = shift_reverse(f)
             assert b.bits == s.bits
@@ -171,7 +167,7 @@ class TestShifting:
     def test_zero_is_invariant_under_dynamics(self):
         # the all-zero word maps to itself; no nonzero seed may reach it
         ts = TapSet.default(8)
-        state = new_lfsr(8, ts, 1)
+        state = new_lfsr(ts, 1)
         for _ in range(300):
             state, _, _ = shift_forward(state)
             assert state.bits != 0
@@ -181,7 +177,7 @@ class TestShifting:
     @settings(max_examples=50, deadline=None)
     def test_forward_then_reverse_restores(self, seed, k):
         ts = TapSet.default(24)
-        s = new_lfsr(24, ts, seed)
+        s = new_lfsr(ts, seed)
         trace = []
         for _ in range(k):
             s, head_in, _ = shift_forward(s)
@@ -197,7 +193,7 @@ class TestShifting:
 class TestWindowCodec:
     def test_roundtrip(self):
         ts = TapSet.default(16)
-        s = new_lfsr(16, ts, 0xBEEF)
+        s = new_lfsr(ts, 0xBEEF)
         w = state_to_window(s)
         assert w.shape == (16,)
         assert w[0] == s.register(16)  # index 0 is the tail
@@ -209,7 +205,7 @@ class TestBulkEngine:
     @pytest.mark.parametrize("width", [8, 16, 24, 256])
     def test_extend_forward_matches_scalar(self, width):
         ts = TapSet.default(width)
-        s = new_lfsr(width, ts, (1 << width) - 3)
+        s = new_lfsr(ts, (1 << width) - 3)
         k = 700
         bits = extend_forward(state_to_window(s), k, ts)
         scalar = []
@@ -221,7 +217,7 @@ class TestBulkEngine:
     @pytest.mark.parametrize("width", [8, 12, 16, 24, 256])
     def test_extend_backward_matches_scalar(self, width):
         ts = TapSet.default(width)
-        s = new_lfsr(width, ts, 12345 % ((1 << width) - 1) + 1)
+        s = new_lfsr(ts, 12345 % ((1 << width) - 1) + 1)
         for _ in range(900):
             s, _, _ = shift_forward(s)
         window = state_to_window(s)
@@ -238,15 +234,15 @@ class TestBulkEngine:
     def test_batched_extension(self):
         ts = TapSet.default(16)
         seeds = [1, 77, 40000]
-        windows = np.stack([state_to_window(new_lfsr(16, ts, sd)) for sd in seeds])
+        windows = np.stack([state_to_window(new_lfsr(ts, sd)) for sd in seeds])
         batched = extend_forward(windows, 64, ts)
         for row, sd in zip(batched, seeds):
-            single = extend_forward(state_to_window(new_lfsr(16, ts, sd)), 64, ts)
+            single = extend_forward(state_to_window(new_lfsr(ts, sd)), 64, ts)
             assert np.array_equal(row, single)
 
     def test_negative_k_rejected(self):
         ts = TapSet.default(256)
-        window = state_to_window(new_lfsr(256, ts, 5))
+        window = state_to_window(new_lfsr(ts, 5))
         for extend in (extend_forward, extend_backward):
             with pytest.raises(ValueError, match="k must be >= 0"):
                 extend(window, -3, ts)
@@ -296,7 +292,7 @@ class TestBulkEngine:
 
     def test_short_buffer_rejected(self):
         ts = TapSet.default(256)
-        window = state_to_window(new_lfsr(256, ts, 5))
+        window = state_to_window(new_lfsr(ts, 5))
         with pytest.raises(ValueError, match="needs 1256"):
             extend_forward(window, 1000, ts, out=np.zeros(1255, np.uint8))
         span = backward_span(1000, ts)
@@ -305,7 +301,7 @@ class TestBulkEngine:
 
     def test_forward_backward_inverse(self):
         ts = TapSet.default(256)
-        s = new_lfsr(256, ts, 3 << 100)
+        s = new_lfsr(ts, 3 << 100)
         w0 = state_to_window(s)
         ext = extend_forward(w0, 1000, ts)
         stream = np.concatenate([w0, ext])
@@ -339,7 +335,7 @@ class TestMaximality:
         feedback = x_pow_mod(8, ts.poly)
         assert feedback == ts.mask
         for seed in range(1, 256):
-            _, head_in, _ = shift_forward(new_lfsr(8, ts, seed))
+            _, head_in, _ = shift_forward(new_lfsr(ts, seed))
             assert head_in == (seed & feedback).bit_count() & 1
 
     def test_poly_power_order(self):
@@ -351,7 +347,7 @@ class TestMaximality:
         """From every nonzero width-8 register, the jump by k equals k
         single shifts for every k < 255."""
         ts = TapSet.default(8)
-        states = [new_lfsr(8, ts, seed) for seed in range(1, 256)]
+        states = [new_lfsr(ts, seed) for seed in range(1, 256)]
         stream = stream_of(np.stack([state_to_window(s) for s in states]), ts)
         for k in range(255):
             assert np.array_equal(jump(stream, k, ts),
@@ -399,5 +395,5 @@ def test_is_maximal_does_not_import_sympy():
 
 def test_popcount_oracle():
     ts = TapSet.default(16)
-    s = new_lfsr(16, ts, 0b1010_1100_0011_0101)
+    s = new_lfsr(ts, 0b1010_1100_0011_0101)
     assert popcount_state(s) == 8

@@ -85,7 +85,7 @@ def test_conv_kernels_match_slot_loops(stride, pad, hw, batch, dtype, rtol):
                     for xi in x.reshape((-1, 3, hw, hw))])
     assert_close(y, ref.reshape(y.shape), dtype, rtol)
     e = rng.standard_normal(y.shape).astype(dtype)
-    assert_close(nn.conv_backward_data(e, w, (hw, hw), stride, pad),
+    assert_close(nn.conv_backward_data(e, w, stride, pad),
                  loop_conv_backward_data(e, w, (hw, hw), stride, pad), dtype, rtol)
     assert_close(nn.conv_backward_weights(x, e, 3, stride, pad),
                  loop_conv_backward_weights(x, e, 3, stride, pad), dtype, rtol)
@@ -100,7 +100,7 @@ def test_conv_kernel_peak_below_one_mib(kernel):
     e = rng.standard_normal((8, 6, 28, 28)).astype(np.float32)
     call = {
         "forward": lambda: nn.conv_forward(x, w),
-        "backward_data": lambda: nn.conv_backward_data(e, w, (32, 32)),
+        "backward_data": lambda: nn.conv_backward_data(e, w),
         "backward_weights": lambda: nn.conv_backward_weights(x, e, 5),
     }[kernel]
     tracemalloc.start()
@@ -151,7 +151,7 @@ class TestAdjoints:
         w = rng.standard_normal((4, 3, 3, 3))
         y = nn.conv_forward(x, w, stride, pad)
         e = rng.standard_normal(y.shape)
-        dx = nn.conv_backward_data(e, w, (9, 9), stride, pad)
+        dx = nn.conv_backward_data(e, w, stride, pad)
         assert np.isclose((y * e).sum(), (x * dx).sum(), atol=1e-10)
 
     def test_conv_data_is_rot180_full_corr(self):
@@ -160,7 +160,7 @@ class TestAdjoints:
         rng = np.random.default_rng(3)
         w = rng.standard_normal((2, 3, 3, 3))
         e = rng.standard_normal((2, 6, 6))
-        dx = nn.conv_backward_data(e, w, (8, 8))
+        dx = nn.conv_backward_data(e, w)
         w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).copy()
         ep = np.pad(e, ((0, 0), (2, 2), (2, 2)))
         assert np.allclose(dx, nn.conv_forward(ep, w_rot), atol=1e-12)
@@ -244,7 +244,7 @@ class TestActivations:
         x = rng.standard_normal((2, 6, 6))
         out, arg = nn.maxpool_fwd(x, 2)
         e = rng.standard_normal(out.shape)
-        dx = nn.maxpool_bwd(e, arg, (6, 6), 2)
+        dx = nn.maxpool_bwd(e, arg, 2)
         # total error mass is conserved and lands only on window maxima
         assert np.isclose(dx.sum(), e.sum())
         assert np.count_nonzero(dx) <= e.size
@@ -353,7 +353,7 @@ class TestPoolSemantics:
         e = rng.choice(np.array([-0.0, 0.0, -1.5, 3.0, np.inf, -np.inf], np.float32),
                        size=slot.shape)
         with np.errstate(invalid="ignore"):
-            dx = nn.maxpool_bwd(e, slot, x.shape[-2:], k)
+            dx = nn.maxpool_bwd(e, slot, k)
             ref = masked_add_unpool(e, slot, x.shape[-2:], k)
         assert dx.dtype == ref.dtype and dx.shape == x.shape
         assert bits(dx) == bits(ref)

@@ -17,11 +17,15 @@ Runs the package of the checkout this script sits in, with
   stdout;
 * ``train-nonfinite``: ``train`` for toy-conv with ``--lr 1e30``
   (``synthetic:count=32``, S=1), whose loss turns nan at step 2, so it
-  exits 3: the report, stdout;
+  exits 3: the report (``missing``: no epoch ends), stdout;
 * ``verify-equivalence`` for b-mlp and b-lenet (4 steps, S=8): both
   checkpoints, both EPSL logs, stdout with the elapsed time masked;
 * its negative control, b-lenet with ``--corrupt-second-pass`` (1 step,
   S=2), which exits 1: both checkpoints, both EPSL logs, stdout;
+* ``verify-switch-off``: toy-conv (1 step, S=1) with a config file that
+  sets ``corrupt_second_pass = true`` and ``--corrupt-second-pass false``
+  on the command line, which wins, so it exits 0: both checkpoints, both
+  EPSL logs, stdout;
 * ``verify-equivalence`` for toy-conv (2 steps, S=2) with ``--out
   verify-dir-out``, where ``verify-dir-out.store`` is a directory this
   script makes, so it exits 2: both EPSL logs (``missing`` when nothing was
@@ -120,6 +124,11 @@ def runs():
     yield name, ["verify-equivalence", "--model", "b-lenet", "--steps", "1", "--samples", "2",
                  "--corrupt-second-pass", "--out", name], \
         [f"{name}.{side}{ext}" for side in ("store", "shift") for ext in ("", ".epsl")]
+    name = "verify-switch-off"
+    yield name, ["verify-equivalence", "--model", "toy-conv", "--steps", "1", "--samples", "1",
+                 "--config", "switch-on.conf", "--corrupt-second-pass", "false",
+                 "--out", name], \
+        [f"{name}.{side}{ext}" for side in ("store", "shift") for ext in ("", ".epsl")]
     name = "verify-dir-out"
     yield name, ["verify-equivalence", "--model", "toy-conv", "--steps", "2", "--samples", "2",
                  "--out", name], [f"{name}.{side}.epsl" for side in ("store", "shift")]
@@ -137,6 +146,7 @@ def write_outputs(out_dir: Path) -> list[str]:
                                                         os.environ.get("PYTHONPATH")])))
     files, codes = write_idx_dir(out_dir), []
     (out_dir / "verify-dir-out.store").mkdir(exist_ok=True)
+    (out_dir / "switch-on.conf").write_text("corrupt_second_pass = true\n")
     for name, args, written in runs():
         run = subprocess.run([sys.executable, "-m", "shiftbnn.cli", *args], cwd=out_dir,
                              env=env, capture_output=True, text=True)
