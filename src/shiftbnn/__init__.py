@@ -25,7 +25,6 @@ from .grng import (
     counts_to_eps,
     grng_init,
     read_epsilon_log,
-    write_epsilon_log,
 )
 from .train import (
     Model,
@@ -52,7 +51,7 @@ __all__ = [
     "DEFAULT_TAPS", "InvalidTaps", "LfsrState", "TapSet", "ZeroSeed",
     "new_lfsr", "popcount_state", "shift_forward", "shift_reverse",
     "GrngStream", "UnderflowBeforeSeed",
-    "counts_to_eps", "grng_init", "read_epsilon_log", "write_epsilon_log",
+    "counts_to_eps", "grng_init", "read_epsilon_log",
     "Model", "MODEL_BUILDERS", "TrainConfig", "Trainer",
     "load_checkpoint", "save_checkpoint",
     "CostParams", "MODEL_PRESETS", "ModelSpec", "TrafficReport",

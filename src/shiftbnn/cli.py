@@ -210,12 +210,17 @@ def _load_split(settings: dict, split: str, model: train.Model):
 
 def _check_out_dirs(*paths) -> None:
     """Before any work: each file a command will write has a directory to go
-    in and is not a directory itself."""
+    in, is not a directory itself, and is not another of ``paths``."""
+    seen = {}
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"cannot write {path}: it is the same file as {seen[real]}")
+        seen[real] = path
 
 
 def _lookup(table: dict, name: str, what: str):

@@ -380,16 +380,3 @@ def write_csv(path, rows: list[dict]) -> None:
         writer.writeheader()
         writer.writerows(rows)
 
-
-def read_csv(path) -> list[dict]:
-    """Parse a report CSV back into typed row dicts."""
-    rows = []
-    with open(path, newline="") as f:
-        for raw in csv.DictReader(f):
-            row = dict(raw)
-            for key in ("eps_bytes", "param_bytes", "fmap_bytes", "macs"):
-                row[key] = int(row[key])
-            for key in ("cycles", "energy"):
-                row[key] = float(row[key])
-            rows.append(row)
-    return rows

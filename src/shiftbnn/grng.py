@@ -49,28 +49,24 @@ def exact_eps(n: int) -> bool:
 
 
 def counts_to_eps(counts: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4).
+    """Standardize raw 1s counts: (count - n/2) / sqrt(n/4), for widths with
+    ``exact_eps(n)``; any other width raises ``ValueError``.
 
-    The values are the float64 ones rounded once to out's dtype (a float
-    array of the counts' shape; without ``out``, a new float64 array),
-    written there without a temporary.  When ``exact_eps(n)``, the counts
-    are cast into ``out`` and scaled in place, count * (1/sqrt(n/4)) -
-    (n/2)/sqrt(n/4): each step is exact in out's dtype, so the bits are the
-    quotient's.  The two factors are Python floats, which numpy applies in
-    out's dtype; a numpy float64 one would make the arithmetic float64,
-    through a cast buffer.  Otherwise count - n/2 (exact in any float
-    dtype) is divided in float64 and rounded into ``out``.
+    The counts are cast into ``out`` (a float array of the counts' shape;
+    without it, a new float64 array) and scaled in place, count *
+    (1/sqrt(n/4)) - (n/2)/sqrt(n/4): each step is exact in out's dtype, so
+    the bits are the quotient's.  The two factors are Python floats, which
+    numpy applies in out's dtype; a numpy float64 one would make the
+    arithmetic float64, through a cast buffer.
     """
+    if not exact_eps(n):
+        raise ValueError(f"width {n}: sqrt(n/4) is not a power of two, so eps is not exact")
     if out is None:
         out = np.empty(np.shape(counts), np.float64)
     scale = math.sqrt(n / 4)
-    if exact_eps(n):
-        np.copyto(out, counts)
-        out *= 1 / scale
-        out -= n / 2 / scale
-        return out
-    np.subtract(counts, n / 2, out=out, dtype=out.dtype)
-    np.divide(out, scale, out=out, dtype=np.float64, casting="same_kind")
+    np.copyto(out, counts)
+    out *= 1 / scale
+    out -= n / 2 / scale
     return out
 
 
@@ -182,7 +178,8 @@ class GrngStream:
         return self.lfsr.position
 
     def reset_to(self, state: LfsrState) -> None:
-        """Restore a previously captured register state (bookkeeping hook)."""
+        """Set the register to ``state``: how ``_block`` moves the stream, and
+        how ``train_step`` sends a stream to where its forward draws ended."""
         self.lfsr = state
 
     def generate_block(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -244,13 +241,6 @@ def write_epsilon_header(f, n: int, count: int) -> None:
     """The header of a log of ``count`` counts; the counts follow as "<u2"."""
     f.write(EPSL_MAGIC)
     f.write(struct.pack("<IIQ", 1, n, count))
-
-
-def write_epsilon_log(path, n: int, counts: np.ndarray) -> None:
-    counts = np.ascontiguousarray(counts, dtype="<u2")
-    with open(path, "wb") as f:
-        write_epsilon_header(f, n, counts.size)
-        f.write(counts.tobytes())
 
 
 def read_epsilon_log(path) -> tuple[int, np.ndarray]:

@@ -28,8 +28,8 @@ no parameter.
 
 Per-weight math: the streams hand out raw 1s counts, and only ``grng``
 turns counts into eps.  In ``Trainer._sample``, for both passes,
-``counts_to_eps`` standardizes them straight into the working dtype (the
-float64 value rounded once; at the trainer's widths, exact) in the eps
+``counts_to_eps`` standardizes them straight into the working dtype
+(exactly, at every width a ``Trainer`` accepts) in the eps
 buffer, with no temporary, and w = mu + eps * sigma is built in the w
 buffer.  Each ``Trainer`` keeps the two buffers across steps, sized by
 its largest layer and shared by its samples and layers; dw' is then

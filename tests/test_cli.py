@@ -1,5 +1,6 @@
 """End-to-end command behavior: config precedence, commands, exit codes."""
 
+import csv
 import gzip
 import os
 import struct
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from shiftbnn import cli, data
-from shiftbnn.costmodel import read_csv
 from shiftbnn.grng import read_epsilon_log
 from shiftbnn.train import build_bmlp, build_toyconv, load_checkpoint
 
@@ -378,6 +378,18 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {tmp_path}: it is a directory\n"
 
+    def test_report_that_is_the_out_file_exits_2_before_training(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # "./m.sbnn" and "m.sbnn" name one file; the checkpoint would replace the log
+        monkeypatch.chdir(tmp_path)
+        code = run(["train", "--model", "toy-conv", "--dataset", SYNTH, "--samples", "1",
+                    "--epochs", "2", "--out", "m.sbnn", "--report", "./m.sbnn"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write ./m.sbnn: it is the same file as m.sbnn\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyEquivalence:
     def test_toy_net_passes(self, tmp_path, capsys):
@@ -485,9 +497,10 @@ class TestCostReport:
         code = run(["cost-report", "--models", "b-mlp,b-lenet",
                     "--samples-list", "8,16", "--report", str(report)])
         assert code == 0
-        rows = read_csv(report)
+        with open(report, newline="") as f:
+            rows = list(csv.DictReader(f))
         shift_rows = [r for r in rows if r["strategy"] == "shift"]
-        assert shift_rows and all(r["eps_bytes"] == 0 for r in shift_rows)
+        assert shift_rows and all(r["eps_bytes"] == "0" for r in shift_rows)
         summary = capsys.readouterr().out
         assert "eps_share" in summary
 

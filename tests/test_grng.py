@@ -20,7 +20,7 @@ from shiftbnn.grng import (
     _window_counts,
     mix64,
     read_epsilon_log,
-    write_epsilon_log,
+    write_epsilon_header,
 )
 from shiftbnn.lfsr import (
     DEFAULT_TAPS,
@@ -89,13 +89,19 @@ class TestStandardization:
         eps = counts_to_eps(np.array([0, 256]), 256)
         assert eps[0] == -16.0 and eps[1] == 16.0
 
-    @pytest.mark.parametrize("n", [8, 12, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256])
     def test_without_out_is_float64(self, n):
         counts = np.arange(n + 1, dtype=np.uint16)
         eps = counts_to_eps(counts, n)
         assert eps.dtype == np.float64
         expect = (counts.astype(np.float64) - n / 2) / np.sqrt(n / 4)
         assert eps.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 12, 24])
+    def test_inexact_width_rejected(self, n):
+        # sqrt(n/4) is not a power of two, so no eps would be exact
+        with pytest.raises(ValueError, match=f"^width {n}: "):
+            counts_to_eps(np.arange(n + 1, dtype=np.uint16), n)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -318,11 +324,19 @@ class TestMoments:
         assert np.array_equal(observed, expected)
 
 
+def write_log(path, n, counts):
+    """An EPSL log as ``verify-equivalence`` writes one: the header, then
+    the counts as "<u2"."""
+    with open(path, "wb") as f:
+        write_epsilon_header(f, n, counts.size)
+        f.write(np.ascontiguousarray(counts, "<u2"))
+
+
 class TestEpsilonLog:
     def test_roundtrip(self, tmp_path):
         counts = np.array([1, 2, 255, 130], dtype=np.uint16)
         path = tmp_path / "x.epsl"
-        write_epsilon_log(path, 256, counts)
+        write_log(path, 256, counts)
         n, back = read_epsilon_log(path)
         assert n == 256
         assert np.array_equal(back, counts)
@@ -335,7 +349,7 @@ class TestEpsilonLog:
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.epsl"
-        write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
+        write_log(path, 256, np.arange(10, dtype=np.uint16))
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(ValueError):
@@ -343,14 +357,14 @@ class TestEpsilonLog:
 
     def test_truncated_header_named(self, tmp_path):
         path = tmp_path / "t.epsl"
-        write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
+        write_log(path, 256, np.arange(10, dtype=np.uint16))
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated epsilon log header"):
             read_epsilon_log(path)
 
     def test_bytes_after_the_counts_named(self, tmp_path):
         path = tmp_path / "t.epsl"
-        write_epsilon_log(path, 256, np.arange(10, dtype=np.uint16))
+        write_log(path, 256, np.arange(10, dtype=np.uint16))
         path.write_bytes(path.read_bytes() + bytes(2))
         with pytest.raises(CountMismatch,
                            match="epsilon log has bytes after what its header counts"):

@@ -15,6 +15,8 @@ Runs the package of the checkout this script sits in, with
 * ``train`` for toy-conv with ``--out missing/x.sbnn``, a directory that
   does not exist, and with ``--out idx``, a directory itself; both exit 2:
   stdout;
+* ``train-same-out-report``: ``train`` for toy-conv with ``--out
+  same.sbnn --report ./same.sbnn``, one file, so it exits 2: stdout;
 * ``train-nonfinite``: ``train`` for toy-conv with ``--lr 1e30``
   (``synthetic:count=32``, S=1), whose loss turns nan at step 2, so it
   exits 3: the report (``missing``: no epoch ends), stdout;
@@ -112,6 +114,10 @@ def runs():
     for name, out in (("train-missing-out", "missing/x.sbnn"), ("train-dir-out", "idx")):
         yield name, ["train", "--model", "toy-conv", "--dataset", "synthetic:count=64",
                      "--epochs", "2", "--out", out], []
+    yield "train-same-out-report", ["train", "--model", "toy-conv",
+                                    "--dataset", "synthetic:count=16", "--samples", "1",
+                                    "--epochs", "2", "--out", "same.sbnn",
+                                    "--report", "./same.sbnn"], []
     yield "train-nonfinite", ["train", "--model", "toy-conv", "--dataset", "synthetic:count=32",
                               "--samples", "1", "--lr", "1e30", "--report", "nonfinite.log",
                               "--out", "nonfinite.sbnn"], ["nonfinite.log"]
