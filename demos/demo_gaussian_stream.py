@@ -14,11 +14,21 @@ stream = grng_init(master_seed=0, stream_id=0, taps=TapSet.default(256))
 
 # a block of draws is raw 1s counts; counts_to_eps standardizes them
 draws = stream.generate_block(8)
-print("forward draws: ", [f"{e:+.3f}" for e in counts_to_eps(draws, 256)])
+print("forward draws:  ", [f"{e:+.3f}" for e in counts_to_eps(draws, 256)])
+print("(all equal: this register starts on an all-zero low word, as mix64(0) == 0,\n"
+      " so its first 56 draws count 91 ones; ROADMAP item 2b reseeds it)")
 
 retrieved = stream.retrieve_block(8)
-print("retrieved:     ", [f"{e:+.3f}" for e in counts_to_eps(retrieved, 256)])
+print("retrieved:      ", [f"{e:+.3f}" for e in counts_to_eps(retrieved, 256)])
 assert np.array_equal(retrieved, draws[::-1]) and stream.position == 0
+
+# 1,000 draws on, the draws differ, so the reversed order shows
+stream.generate_block(1000)
+draws = stream.generate_block(8)
+print("draws 1000-1007:", [f"{e:+.3f}" for e in counts_to_eps(draws, 256)])
+retrieved = stream.retrieve_block(8)
+print("retrieved:      ", [f"{e:+.3f}" for e in counts_to_eps(retrieved, 256)])
+assert np.array_equal(retrieved, draws[::-1]) and stream.position == 1000
 print("retrieval is the exact reverse of generation, no storage involved")
 
 # moments over a large block

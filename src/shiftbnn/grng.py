@@ -254,4 +254,9 @@ def read_epsilon_log(path) -> tuple[int, np.ndarray]:
             raise ValueError(f"unsupported epsilon log version {version}")
         raw = read_exact(f, 2 * count, "truncated epsilon log counts")
         expect_end(f, "epsilon log")
-        return n, np.frombuffer(raw, dtype="<u2").copy()
+    counts = np.frombuffer(raw, dtype="<u2").copy()
+    above = np.flatnonzero(counts > n)
+    if above.size:  # an n-bit register holds at most n ones
+        i = int(above[0])
+        raise ValueError(f"epsilon log count {i} is {counts[i]}, above the register width {n}")
+    return n, counts

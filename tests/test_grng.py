@@ -376,3 +376,11 @@ class TestEpsilonLog:
         path.write_bytes(b"EPSL" + struct.pack("<IIQ", 1, 256, 2 ** 63) + bytes(8))
         with pytest.raises(TruncatedFile, match="truncated epsilon log counts"):
             read_epsilon_log(path)
+
+    def test_count_above_width_named(self, tmp_path):
+        # no 256-bit register holds 257 ones
+        path = tmp_path / "t.epsl"
+        write_log(path, 256, np.array([128, 256, 257, 300], dtype=np.uint16))
+        with pytest.raises(ValueError, match="epsilon log count 2 is 257, above the "
+                                             "register width 256"):
+            read_epsilon_log(path)
